@@ -6,7 +6,9 @@ so repeated invocations are byte-identical.  Exit codes: 0 success or
 check passed, 1 check failed or accuracy budget not met, 2 usage or
 validation error, 3 entry/qubit cap exceeded.
 
-TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap.
+TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
+12).  verify --mode realified and --mode stats apply it to the realified
+circuit, so the largest original they accept is one qubit under the cap.
 """
 
 from __future__ import annotations

@@ -37,25 +37,10 @@ def as_matrix(a) -> np.ndarray:
     return m
 
 
-def adjoint(m) -> np.ndarray:
-    return as_matrix(m).conj().T
-
-
-def multiply(a, b) -> np.ndarray:
-    a, b = as_matrix(a), as_matrix(b)
-    if a.shape != b.shape:
-        raise ValidationError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def is_unitary(m, tol: float = ATOL) -> bool:
     m = as_matrix(m)
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
-
-
-def is_real(m, tol: float = ATOL) -> bool:
-    return bool(np.max(np.abs(np.asarray(m).imag)) <= tol)
 
 
 def _spectral_norm(m: np.ndarray) -> float:

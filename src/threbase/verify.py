@@ -3,12 +3,18 @@
 The simulator applies each gate as a local update on the amplitude tensor
 (axis permutation plus a small matmul), never forming the 2^n x 2^n
 embedded matrix.  That keeps it an independent oracle against
-circuit_unitary: the two routes share no matrix-building code, so their
-agreement is a real check rather than a tautology.
+circuit_unitary, which gathers rows of a running matrix: the two routes
+share no state-update or index code, so their agreement is a real check
+rather than a tautology.
+
+The tensor carries a trailing batch axis, shape (2,)*n + (B,), so one pass
+over the gates applies the circuit to B basis inputs at once.  The
+checkers push all of their inputs through in chunks of at most
+BATCH_AMPLITUDES amplitudes, and `run` is a batch of one.
 
 Realified circuits carry the ancilla as the last (least significant)
 qubit, so a complex map U on n qubits is validated against
-|i>|0> -> (Re U|i>)|0> + (Im U|i>)|1> basis state by basis state.
+|i>|0> -> (Re U|i>)|0> + (Im U|i>)|1> for every basis input i.
 """
 
 from __future__ import annotations
@@ -25,6 +31,12 @@ from .passes import TranspileReport
 
 NORM_ATOL = 1e-10
 DEFAULT_TOL = 1e-10
+# Cap on the amplitudes of one batched pass (inputs x 2**n): 4 MiB of
+# complex128, so a pass holds about 12 MiB (the state, its moved copy and
+# the matmul product) at any width.  On a 12-qubit realified check, caps
+# from 2**17 to 2**20 ran at the same speed per input; the cap bounds
+# memory, not time.
+BATCH_AMPLITUDES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -76,6 +88,44 @@ def _report(kind: str, deviations, tol: float, worst: int | None) -> Equivalence
     return EquivalenceReport(kind, mx, tuple(deviations), tol, worst, mx <= tol)
 
 
+def _simulate(c: Circuit, basis_indices: np.ndarray) -> np.ndarray:
+    """Output states for a batch of basis inputs, one column per input.
+
+    Raises ValidationError when a column's norm is off 1 by more than
+    NORM_ATOL.
+    """
+    n = c.n_qubits
+    batch = len(basis_indices)
+    psi = np.zeros((2**n, batch), dtype=complex)
+    psi[basis_indices, np.arange(batch)] = 1.0
+    psi = psi.reshape((2,) * n + (batch,))
+    for g in c.gates:
+        m = gate_matrix(g)
+        k = len(g.qubits)
+        moved = np.moveaxis(psi, g.qubits, range(k))
+        shape = moved.shape
+        moved = m @ moved.reshape(2**k, -1)
+        psi = np.moveaxis(moved.reshape(shape), range(k), g.qubits)
+    out = psi.reshape(2**n, batch)
+    norms = np.linalg.norm(out, axis=0)
+    bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
+    if bad.size:
+        j = int(bad[0])
+        raise ValidationError(
+            f"state norm {float(norms[j])} for input {int(basis_indices[j])} "
+            f"is not 1 within {NORM_ATOL}"
+        )
+    return out
+
+
+def _batched_outputs(c: Circuit, inputs: np.ndarray):
+    """Yield (start, outputs) over chunks of at most BATCH_AMPLITUDES
+    amplitudes, where outputs[:, j] is c applied to inputs[start + j]."""
+    size = max(1, BATCH_AMPLITUDES >> c.n_qubits)
+    for start in range(0, len(inputs), size):
+        yield start, _simulate(c, inputs[start : start + size])
+
+
 def run(c: Circuit, basis_index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
     """Apply the circuit to a computational basis state."""
     _check_cap(c.n_qubits, max_qubits)
@@ -84,16 +134,7 @@ def run(c: Circuit, basis_index: int, max_qubits: int = MAX_QUBITS) -> StateVect
         raise ValidationError(
             f"basis index {basis_index} out of range for {n} qubits"
         )
-    psi = np.zeros((2,) * n, dtype=complex)
-    psi[np.unravel_index(basis_index, (2,) * n)] = 1.0
-    for g in c.gates:
-        m = gate_matrix(g)
-        k = len(g.qubits)
-        moved = np.moveaxis(psi, g.qubits, range(k))
-        shape = moved.shape
-        moved = m @ moved.reshape(2**k, -1)
-        psi = np.moveaxis(moved.reshape(shape), range(k), g.qubits)
-    return StateVector(n, psi.reshape(-1))
+    return StateVector(n, _simulate(c, np.array([basis_index]))[:, 0])
 
 
 def check_exact(
@@ -109,11 +150,15 @@ def check_exact(
 
 
 def _realified_pair(original: Circuit, realified: Circuit, max_qubits: int):
+    """U of the original, after both widths are checked against the cap."""
     if realified.n_qubits != original.n_qubits + 1:
         raise ValidationError(
             f"realified circuit must have exactly one extra qubit: "
             f"{original.n_qubits} -> {realified.n_qubits}"
         )
+    # The wider circuit sets the limit; checking it before circuit_unitary
+    # means an original at the cap fails before its 2**n unitary is built.
+    _check_cap(realified.n_qubits, max_qubits)
     return circuit_unitary(original, max_qubits)
 
 
@@ -125,16 +170,19 @@ def check_realified(
 ) -> EquivalenceReport:
     """Basis-by-basis check of |i>|0> -> (Re U|i>)|0> + (Im U|i>)|1>."""
     u = _realified_pair(original, realified, max_qubits)
-    dim = 2**original.n_qubits
-    deviations = []
-    for i in range(dim):
-        got = run(realified, 2 * i, max_qubits).amplitudes
-        expected = np.zeros(2 * dim, dtype=complex)
-        expected[0::2] = u[:, i].real
-        expected[1::2] = u[:, i].imag
-        deviations.append(float(np.linalg.norm(got - expected)))
+    deviations = np.empty(u.shape[1])
+    for start, got in _batched_outputs(realified, 2 * np.arange(len(deviations))):
+        cols = slice(start, start + got.shape[1])
+        expected = np.empty(got.shape)
+        expected[0::2] = u[:, cols].real
+        expected[1::2] = u[:, cols].imag
+        # One norm per contiguous row sums each input's difference in the
+        # same order whatever the chunk size, so deviations (and the argmax
+        # among near-equal ones) do not depend on BATCH_AMPLITUDES.
+        diff = np.ascontiguousarray((got - expected).T)
+        deviations[cols] = [np.linalg.norm(row) for row in diff]
     worst = int(np.argmax(deviations))
-    return _report("realified", deviations, tol, worst)
+    return _report("realified", deviations.tolist(), tol, worst)
 
 
 def check_measurement_stats(
@@ -145,15 +193,14 @@ def check_measurement_stats(
 ) -> EquivalenceReport:
     """Outcome distributions on the original qubits, flag qubit marginalized."""
     u = _realified_pair(original, realified, max_qubits)
-    dim = 2**original.n_qubits
-    p_orig = np.abs(u) ** 2
-    deviations = []
-    for i in range(dim):
-        amps = run(realified, 2 * i, max_qubits).amplitudes
+    deviations = np.empty(u.shape[1])
+    for start, amps in _batched_outputs(realified, 2 * np.arange(len(deviations))):
+        cols = slice(start, start + amps.shape[1])
         p_real = np.abs(amps[0::2]) ** 2 + np.abs(amps[1::2]) ** 2
-        deviations.append(float(np.max(np.abs(p_real - p_orig[:, i]))))
+        p_orig = np.abs(u[:, cols]) ** 2
+        deviations[cols] = np.max(np.abs(p_real - p_orig), axis=0)
     worst = int(np.argmax(deviations))
-    return _report("measurement-stats", deviations, tol, worst)
+    return _report("measurement-stats", deviations.tolist(), tol, worst)
 
 
 def overhead_stats(report: TranspileReport) -> bool:

@@ -89,3 +89,24 @@ def test_gates_are_immutable_tuple():
     c = Circuit(2, [H])
     assert isinstance(c.gates, tuple)
     assert len(c) == 1
+
+
+def dense_product(c):
+    """The circuit unitary as a product of embedded matrices."""
+    u = np.eye(2**c.n_qubits, dtype=complex)
+    for g in c.gates:
+        u = embed(g, c.n_qubits) @ u
+    return u
+
+
+def test_row_gather_matches_dense_product(corpus):
+    from threbase import haar_unitary
+
+    rng = np.random.default_rng(2)
+    generic = []
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        qs = tuple(int(q) for q in rng.choice(5, size=k, replace=False))
+        generic.append(Gate(GateKind.GENERIC, qs, haar_unitary(2**k, rng)))
+    for c in corpus[:30] + [Circuit(5, generic)]:
+        assert np.max(np.abs(circuit_unitary(c) - dense_product(c))) <= 1e-14

@@ -150,3 +150,132 @@ def test_report_passed_flag_must_match():
         EquivalenceReport("exact-unitary", 1.0, (1.0,), 1e-10, None, True)
     with pytest.raises(ValidationError):
         EquivalenceReport("exact-unitary", 0.0, (0.0,), 1e-10, None, False)
+
+
+# --- batched checkers against the per-input loop ---------------------------
+
+
+def reference_realified(original, realified, inputs=None):
+    """One simulator run per basis input: realified and stats deviations."""
+    u = circuit_unitary(original)
+    dim = 2**original.n_qubits
+    real_dev, stats_dev = [], []
+    for i in range(dim) if inputs is None else inputs:
+        got = run(realified, 2 * i).amplitudes
+        expected = np.zeros(2 * dim, dtype=complex)
+        expected[0::2] = u[:, i].real
+        expected[1::2] = u[:, i].imag
+        real_dev.append(float(np.linalg.norm(got - expected)))
+        p_real = np.abs(got[0::2]) ** 2 + np.abs(got[1::2]) ** 2
+        stats_dev.append(float(np.max(np.abs(p_real - np.abs(u[:, i]) ** 2))))
+    return real_dev, stats_dev
+
+
+def drop_gate(c, rng):
+    k = int(rng.integers(len(c.gates)))
+    return Circuit(c.n_qubits, c.gates[:k] + c.gates[k + 1 :])
+
+
+def realified_pairs(corpus):
+    rng = np.random.default_rng(7)
+    pairs = []
+    for i, c in enumerate(corpus):
+        real = realify_circuit(c)[0]
+        pairs.append((c, real))
+        if i % 2 == 0:
+            pairs.append((c, drop_gate(real, rng)))
+    return pairs
+
+
+def test_batched_checkers_match_per_input_loop(corpus):
+    planted = 0
+    for c, real in realified_pairs(corpus):
+        want_real, want_stats = reference_realified(c, real)
+        rep = check_realified(c, real)
+        stats = check_measurement_stats(c, real)
+        assert np.max(np.abs(np.subtract(rep.deviations, want_real))) <= 1e-15
+        assert np.max(np.abs(np.subtract(stats.deviations, want_stats))) <= 1e-15
+        assert rep.worst_input == int(np.argmax(want_real))
+        assert stats.worst_input == int(np.argmax(want_stats))
+        planted += not rep.passed
+    assert planted > 0
+
+
+def test_batched_columns_equal_run(corpus):
+    from threbase.verify import _simulate
+
+    for c, real in realified_pairs(corpus[:20]):
+        inputs = 2 * np.arange(2**c.n_qubits)
+        cols = _simulate(real, inputs)
+        for j, i in enumerate(inputs):
+            assert np.array_equal(cols[:, j], run(real, int(i)).amplitudes)
+
+
+def random_hcs(n, gates, rng):
+    out = []
+    for _ in range(gates):
+        if rng.random() < 0.5:
+            out.append(Gate(GateKind.H, (int(rng.integers(n)),)))
+        else:
+            a, b = rng.choice(n, size=2, replace=False)
+            out.append(Gate(GateKind.CS, (int(a), int(b))))
+    return Circuit(n, out)
+
+
+def test_batched_checkers_span_several_chunks(monkeypatch):
+    from threbase import verify
+
+    rng = np.random.default_rng(9)
+    c = random_hcs(9, 40, rng)
+    real = drop_gate(realify_circuit(c)[0], rng)
+    assert 2 ** real.n_qubits * 2**c.n_qubits > verify.BATCH_AMPLITUDES
+    rep = check_realified(c, real)
+    stats = check_measurement_stats(c, real)
+    chunk = verify.BATCH_AMPLITUDES >> real.n_qubits
+    sample = sorted({0, 1, chunk - 1, chunk, chunk + 1, 2**c.n_qubits - 1}
+                    | {int(i) for i in rng.integers(2**c.n_qubits, size=10)})
+    want_real, want_stats = reference_realified(c, real, sample)
+    got_real = [rep.deviations[i] for i in sample]
+    got_stats = [stats.deviations[i] for i in sample]
+    assert np.max(np.abs(np.subtract(got_real, want_real))) <= 1e-15
+    assert np.max(np.abs(np.subtract(got_stats, want_stats))) <= 1e-15
+    # Smaller chunks leave every deviation, hence the worst input, unchanged.
+    monkeypatch.setattr(verify, "BATCH_AMPLITUDES", 1 << 13)
+    assert check_realified(c, real) == rep
+    assert check_measurement_stats(c, real) == stats
+
+
+def test_batched_norm_check_names_the_input():
+    # Each gate passes the unitarity check but grows the norm by 4e-11;
+    # ten of them push every column past NORM_ATOL.
+    grow = Gate(GateKind.GENERIC, (0,), np.eye(2) * (1 + 4e-11))
+    c = Circuit(1, [])
+    real = Circuit(2, [grow] * 10)
+    with pytest.raises(ValidationError, match="for input 0 is not 1"):
+        check_realified(c, real)
+    with pytest.raises(ValidationError, match="is not 1"):
+        run(real, 3)
+
+
+@pytest.mark.parametrize("check", [check_realified, check_measurement_stats])
+def test_realified_checks_fail_fast_at_the_cap(check):
+    import tracemalloc
+
+    # The realified circuit has 13 qubits, one over the default cap, so a
+    # 12-qubit original is refused before its 256 MiB unitary is built.
+    c = Circuit(12, [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (0, 11))])
+    real = realify_circuit(c)[0]
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapExceeded):
+            check(c, real)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    # At a cap of 3 the largest original these modes accept has 2 qubits.
+    small = Circuit(3, [Gate(GateKind.H, (0,))])
+    with pytest.raises(CapExceeded):
+        check(small, realify_circuit(small)[0], max_qubits=3)
+    two = Circuit(2, [Gate(GateKind.H, (0,))])
+    assert check(two, realify_circuit(two)[0], max_qubits=3).passed
