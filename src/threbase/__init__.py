@@ -23,7 +23,7 @@ from .gates import (
     kitaev_gate_set,
 )
 from .io import emit_circuit, emit_net, parse_circuit, parse_net
-from .linalg import dist, frob_phase_dist, haar_unitary, is_unitary
+from .linalg import dist, haar_unitary, is_unitary, phase_dist
 from .passes import (
     RealifiedGate,
     TranspileReport,
@@ -88,7 +88,6 @@ __all__ = [
     "embed",
     "emit_circuit",
     "emit_net",
-    "frob_phase_dist",
     "gate_matrix",
     "gc_decompose",
     "haar_unitary",
@@ -99,6 +98,7 @@ __all__ = [
     "overhead_stats",
     "parse_circuit",
     "parse_net",
+    "phase_dist",
     "realified_expansion",
     "realify_circuit",
     "realify_gate",

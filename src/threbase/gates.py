@@ -158,7 +158,7 @@ class GateSet:
     generators: tuple[tuple[str, Gate], ...]
     closed_under_inverse: bool = False
     _matrices: dict = field(default_factory=dict, repr=False, compare=False)
-    _inv_powers: dict = field(default_factory=dict, repr=False, compare=False)
+    _inverses: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         from .circuit import embed  # local import to avoid a cycle
@@ -177,7 +177,16 @@ class GateSet:
             m.setflags(write=False)
             self._matrices[lab] = m
             if not self.closed_under_inverse:
-                self._inv_powers[lab] = _finite_order(m, lab) - 1
+                self._inverses[lab] = (lab,) * (_finite_order(m, lab) - 1)
+        if self.closed_under_inverse:
+            # A label without an inverse generator stays out of the table and
+            # fails only when its inverse is asked for.
+            for lab, m in self._matrices.items():
+                target = m.conj().T
+                for other in labels:
+                    if np.allclose(self._matrices[other], target, atol=1e-12):
+                        self._inverses[lab] = (other,)
+                        break
 
     @property
     def dim(self) -> int:
@@ -201,13 +210,11 @@ class GateSet:
 
     def inverse_labels(self, label: str) -> tuple[str, ...]:
         """Label sequence (application order) realizing the exact inverse."""
-        if self.closed_under_inverse:
-            target = self.matrix(label).conj().T
-            for lab in self.labels:
-                if np.allclose(self.matrix(lab), target, atol=1e-12):
-                    return (lab,)
-            raise ValidationError(f"no inverse generator found for {label!r}")
-        return (label,) * self._inv_powers[label]
+        try:
+            return self._inverses[label]
+        except KeyError:
+            self.matrix(label)  # unknown labels raise here
+            raise ValidationError(f"no inverse generator found for {label!r}") from None
 
     def evaluate(self, seq) -> np.ndarray:
         """Product of a label sequence given in application order."""

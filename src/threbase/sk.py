@@ -18,17 +18,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import bisect
 
 from .errors import CapExceeded, CompileError, ValidationError
 from .gates import GateSet
-from .linalg import as_matrix, dist, is_unitary
+from .linalg import UNITARY_TOL, as_matrix, dist, is_unitary, phase_dist
 
 DEFAULT_DEDUPE_TOL = 1e-4
 DEFAULT_EPS = 1e-2
 DEFAULT_MAX_ENTRIES = 5_000_000
 GC_MAX_DIST = 0.5
-_BISECT_XTOL = 1e-12
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -179,6 +177,10 @@ def truncate(net: Net, max_length: int) -> Net:
     return Net(net.gateset, max_length, net.dedupe_tol, kept)
 
 
+_BOUND_SLACK = 1e-6
+_TIE_TOL = 1e-12
+
+
 def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
     if not net.entries:
         raise ValidationError("net has no entries")
@@ -187,6 +189,8 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
         raise ValidationError(
             f"target dimension {u.shape[0]} does not match net dimension {net.dim}"
         )
+    if not is_unitary(u, UNITARY_TOL):
+        raise ValidationError("nearest-entry search needs a unitary target")
     d = net.dim
     if d == 2:
         # Same closed form as dist() on unitary 2x2 pairs, over all entries
@@ -203,20 +207,20 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
             # report the achieved distance at full absolute accuracy.
             return entry, dist(entry.matrix, u)
         return entry, float(dists[best])
-    overlap = np.abs(np.einsum("nij,ij->n", net.conj_stack(), u))
-    frob = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0))
-    lower = frob / np.sqrt(d)
-    order = np.lexsort((np.arange(len(frob)), frob))
-    best_entry, best_dist, best_key = None, np.inf, None
-    for i in order:
-        if lower[i] > best_dist:
-            break
-        entry = net.entries[i]
-        di = dist(entry.matrix, u)
-        key = (di, entry.length, entry.seq)
-        if best_key is None or key < best_key:
-            best_entry, best_dist, best_key = entry, di, key
-    return best_entry, best_dist
+    # Frobenius lower bound f / sqrt(d) <= dist for every entry; the entry
+    # with the smallest bound gives an upper bound on the minimum, and only
+    # entries whose lower bound reaches it go through the eigenphase kernel.
+    # The slack covers the cancellation in 2d - 2|overlap| (about sqrt(d eps)).
+    conj = net.conj_stack()
+    overlap = np.abs(np.einsum("nij,ij->n", conj, u))
+    lower = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0) / d)
+    first = int(np.argmin(lower))
+    upper = phase_dist(conj[first].T @ u)
+    cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
+    dists = phase_dist(np.swapaxes(conj[cand], -1, -2) @ u)
+    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
+    best = min(ties, key=lambda i: (net.entries[cand[i]].length, net.entries[cand[i]].seq))
+    return net.entries[cand[best]], float(dists[best])
 
 
 def nearest(net: Net, u) -> NetEntry:
@@ -248,17 +252,19 @@ def _to_su2(m: np.ndarray) -> np.ndarray:
 
 
 def _angle_axis(m_su2: np.ndarray) -> tuple[float, np.ndarray | None]:
-    """Rotation angle in [0, pi] and unit axis; axis is None near identity."""
-    c = np.clip((m_su2[0, 0].real + m_su2[1, 1].real) / 2.0, -1.0, 1.0)
-    theta = 2.0 * np.arccos(c)
-    s = np.sin(theta / 2.0)
+    """Rotation angle in [0, pi] and unit axis; axis is None near identity.
+
+    The angle comes from atan2 of the Pauli components against the trace,
+    which stays accurate near identity, where arccos of the trace loses
+    about eps/theta.
+    """
+    c = (m_su2[0, 0].real + m_su2[1, 1].real) / 2.0
+    n = np.array([(1j * np.trace(p @ m_su2) / 2.0).real for p in _SIGMA])
+    s = np.linalg.norm(n)
+    theta = 2.0 * np.arctan2(s, c)
     if s < 1e-12:
         return float(theta), None
-    n = np.array([(1j * np.trace(p @ m_su2) / 2.0).real / s for p in _SIGMA])
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
-        return float(theta), None
-    return float(theta), n / norm
+    return float(theta), n / s
 
 
 def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
@@ -274,10 +280,6 @@ def _commutator_of(phi: float) -> np.ndarray:
     v = _rotation(_EX, phi)
     w = _rotation(_EY, phi)
     return v @ w @ v.conj().T @ w.conj().T
-
-
-def _commutator_angle(phi: float) -> float:
-    return _angle_axis(_to_su2(_commutator_of(phi)))[0]
 
 
 def _axis_aligner(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
@@ -302,8 +304,8 @@ def gc_decompose(delta, commutator_tol: float = 1e-10) -> tuple[np.ndarray, np.n
 
     Returns equal-angle rotations (V, W) about orthogonal axes with
     dist(delta, V W V^dag W^dag) <= commutator_tol.  The rotation angle is
-    found by bisecting the numerically measured commutator angle, and the
-    commutator axis is then conjugated onto delta's axis.
+    a closed form in delta's angle, and the commutator axis is then
+    conjugated onto delta's axis.
     """
     delta = as_matrix(delta)
     if delta.shape[0] != 2:
@@ -320,17 +322,11 @@ def gc_decompose(delta, commutator_tol: float = 1e-10) -> tuple[np.ndarray, np.n
     if axis is None or theta <= 2e-10:
         return eye, eye
 
-    # Bracket the angle equation on a coarse grid; the measured commutator
-    # angle grows monotonically from 0 to pi over this range.
-    lo, hi = 0.0, None
-    for phi in np.arange(0.1, 2.2, 0.1):
-        if _commutator_angle(phi) >= theta:
-            hi = phi
-            break
-        lo = phi
-    if hi is None:
-        raise CompileError(f"no commutator angle bracket for theta={theta:.3f}")
-    phi = bisect(lambda p: _commutator_angle(p) - theta, lo, hi, xtol=_BISECT_XTOL)
+    # Rotations by phi about x and y have a commutator of angle theta with
+    # sin(theta/2) = 2 sin^2(phi/2) sqrt(1 - sin^4(phi/2)) (Dawson & Nielsen,
+    # quant-ph/0505030); with sin^2(phi/2) = sin(a) the right side is
+    # sin(2a), so a = theta/4.
+    phi = 2.0 * np.arcsin(np.sqrt(np.sin(theta / 4.0)))
 
     v = _rotation(_EX, phi)
     w = _rotation(_EY, phi)

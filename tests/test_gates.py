@@ -108,6 +108,22 @@ def test_inverse_labels_when_closed():
     assert gs.inverse_labels("TDG") == ("T",)
 
 
+def test_missing_inverse_fails_when_asked_not_when_built():
+    gs = GateSet(
+        name="half",
+        n_qubits=1,
+        generators=(("H", Gate(GateKind.H, (0,))), ("S", Gate(GateKind.S, (0,)))),
+        closed_under_inverse=True,
+    )
+    assert gs.inverse_labels("H") == ("H",)
+    with pytest.raises(ValidationError, match="no inverse generator"):
+        gs.inverse_labels("S")
+    with pytest.raises(ValidationError, match="unknown generator"):
+        gs.inverse_labels("T")
+    with pytest.raises(ValidationError, match="unknown generator"):
+        kitaev_gate_set().inverse_labels("T")
+
+
 def test_evaluate_is_application_order():
     gs = kitaev_gate_set()
     want = gs.matrix("CS") @ gs.matrix("H0")

@@ -3,9 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from threbase import dist, frob_phase_dist, haar_unitary, is_unitary
+from threbase import dist, haar_unitary, is_unitary, phase_dist
 from threbase.errors import ValidationError
-from threbase.linalg import _dist_2x2_unitary, _sigma_max_2x2
 
 I2 = np.eye(2, dtype=complex)
 X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -13,10 +12,12 @@ H = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
 
 
 def eigenphase_dist(a, b):
-    """Independent oracle: smallest arc containing the eigenphases of a^dag b.
+    """Smallest arc containing the eigenphases of a^dag b.
 
     The phase-minimized distance is 2 sin(W/4) where W is the width of that
     arc, found through the largest circular gap between sorted eigenphases.
+    This is the formula `dist` itself uses, so `grid_dist` below is the
+    independent oracle; this one still pins the 2x2 closed form.
     """
     phases = np.sort(np.angle(np.linalg.eigvals(a.conj().T @ b)))
     gaps = np.diff(np.concatenate([phases, [phases[0] + 2 * np.pi]]))
@@ -25,9 +26,16 @@ def eigenphase_dist(a, b):
 
 
 def grid_dist(a, b, k=20001):
+    """Independent oracle: the largest singular value on a dense phase grid."""
     phis = np.arange(k) * (2 * np.pi / k)
     diffs = a[None] - np.exp(1j * phis)[:, None, None] * b[None]
     return float(np.linalg.svd(diffs, compute_uv=False)[:, 0].min())
+
+
+def frob_phase_dist(a, b):
+    """Phase-minimized Frobenius distance; for unitaries it brackets dist."""
+    overlap = abs(np.einsum("ij,ij->", a.conj(), b))
+    return float(np.sqrt(max(2.0 * a.shape[0] - 2.0 * overlap, 0.0)))
 
 
 def test_exact_anchor_values():
@@ -87,7 +95,7 @@ def test_closed_form_agrees_with_scan_path():
     rng = np.random.default_rng(6)
     for _ in range(100):
         a, b = haar_unitary(2, rng), haar_unitary(2, rng)
-        fast = _dist_2x2_unitary(a, b)
+        fast = dist(a, b)
         g = grid_dist(a, b)
         assert fast <= g + 1e-12
         assert g - fast <= np.pi / 20001
@@ -103,12 +111,44 @@ def test_frobenius_distance_brackets_spectral():
             assert f / math.sqrt(dim) - 1e-12 <= d <= f + 1e-12
 
 
-def test_sigma_max_closed_form_matches_svd():
-    rng = np.random.default_rng(8)
-    ms = rng.normal(size=(200, 2, 2)) + 1j * rng.normal(size=(200, 2, 2))
-    got = _sigma_max_2x2(ms)
-    want = np.linalg.svd(ms, compute_uv=False)[:, 0]
-    assert np.max(np.abs(got - want)) < 1e-12
+@pytest.mark.parametrize("dim,k", [(8, 4001), (16, 1001)])
+def test_dist_beats_every_grid_sample_at_larger_dimensions(dim, k):
+    rng = np.random.default_rng(8 + dim)
+    for _ in range(4):
+        a, b = haar_unitary(dim, rng), haar_unitary(dim, rng)
+        g = grid_dist(a, b, k)
+        d = dist(a, b)
+        assert d <= g + 1e-12
+        assert g - d <= 2 * np.pi / k
+
+
+@pytest.mark.parametrize("dim", [8, 16])
+def test_phase_equal_matrices_have_zero_distance_at_larger_dimensions(dim):
+    rng = np.random.default_rng(30 + dim)
+    for _ in range(10):
+        u = haar_unitary(dim, rng)
+        assert dist(np.exp(1j * rng.uniform(0, 2 * np.pi)) * u, u) < 1e-12
+
+
+def test_phase_dist_takes_a_stack():
+    rng = np.random.default_rng(11)
+    pairs = [(haar_unitary(4, rng), haar_unitary(4, rng)) for _ in range(6)]
+    stack = np.stack([a.conj().T @ b for a, b in pairs])
+    got = phase_dist(stack)
+    assert got.shape == (6,)
+    for g, (a, b) in zip(got, pairs):
+        assert g == pytest.approx(grid_dist(a, b), abs=2 * np.pi / 20001)
+    assert phase_dist(np.eye(4)) == 0.0
+
+
+def test_dist_rejects_non_unitary_inputs():
+    m = np.diag([1.0, 1.0, 1.0, 1.1]).astype(complex)
+    with pytest.raises(ValidationError):
+        dist(m, np.eye(4))
+    with pytest.raises(ValidationError):
+        dist(I2, np.array([[1, 1], [0, 1]], dtype=complex))
+    # Products of validated gates drift far less than the tolerance.
+    assert dist(np.eye(4) * (1 + 1e-9), np.eye(4)) < 1e-12
 
 
 def test_haar_unitary_is_unitary_and_seeded():

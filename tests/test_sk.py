@@ -12,6 +12,7 @@ from threbase import (
     covering_radius_sample,
     demo_1q_gate_set,
     dist,
+    gate_matrix,
     gc_decompose,
     haar_unitary,
     kitaev_gate_set,
@@ -137,6 +138,34 @@ def test_nearest_matches_linear_scan_oracle(request, dim_fixture, kitaev8):
         assert dist(entry.matrix, u) == pytest.approx(brute, abs=1e-9)
 
 
+@pytest.mark.parametrize("kind,want", [("X", ("H0",)), ("Z", ("H0",)), ("S", ()), ("SDG", ())])
+def test_nearest_breaks_exact_ties_by_length(kitaev8, kind, want):
+    # Each target sits at 2 sin(pi/8) from several entries of different
+    # lengths; the shortest must win however the distances round, and a
+    # global phase on the target changes how they round.
+    for phase in (0.0, -0.7, 2.5):
+        u = np.exp(1j * phase) * np.kron(gate_matrix(kind), np.eye(2))
+        entry, achieved = _nearest(kitaev8, u)
+        assert entry.seq == want
+        assert achieved == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-12)
+        assert nearest(kitaev8, u).seq == want
+
+
+def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
+    rng = np.random.default_rng(28)
+    for i in rng.choice(len(kitaev8), size=12, replace=False):
+        e = kitaev8.entries[i]
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * e.matrix
+        got, achieved = _nearest(kitaev8, u)
+        assert achieved < 1e-12
+        assert got.seq == e.seq
+
+
+def test_nearest_rejects_non_unitary_target(kitaev8):
+    with pytest.raises(ValidationError):
+        nearest(kitaev8, 2 * np.eye(4))
+
+
 def test_covering_radius_shrinks_with_length(demo12):
     rng = np.random.default_rng(21)
     probes = [haar_unitary(2, rng) for _ in range(40)]
@@ -177,6 +206,19 @@ def test_commutator_residuals_on_random_rotations():
         v, w = gc_decompose(delta)
         residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
         assert residual <= 1e-10
+
+
+@pytest.mark.parametrize("angle", [1e-9, 1e-6, 1e-4, 1e-2])
+def test_commutator_residuals_on_tiny_rotations(angle):
+    # Near identity the angle must come from a well-conditioned formula:
+    # arccos of the trace is off by about eps/angle, which at 1e-6 already
+    # exceeds the default residual tolerance.
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        delta = rotation(rng.normal(size=3), angle)
+        v, w = gc_decompose(delta)
+        residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
+        assert residual <= 1e-12
 
 
 def test_commutator_halves_are_balanced_and_orthogonal():
