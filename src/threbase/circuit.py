@@ -10,7 +10,10 @@ rows whose indices differ in its operand bits, so each gate gathers those
 rows of the running matrix in groups of 2**k and multiplies each group by
 the gate matrix: O(4**n * 2**k) per gate instead of the O(8**n) dense
 product.  The row-index table (`_operand_rows`) is the same bit arithmetic
-that places a gate's entries in `embed`.
+that places a gate's entries in `embed`.  Columns of the unitary evolve
+independently, so the circuit is applied to blocks of at most
+BLOCK_AMPLITUDES entries of the identity in turn: beside the result, a gate
+application then holds two blocks, not two more full matrices.
 """
 
 from __future__ import annotations
@@ -23,6 +26,8 @@ from .errors import CapExceeded, ValidationError
 from .gates import Gate, gate_matrix
 
 MAX_QUBITS = 12
+# 2**16 amplitudes (1 MiB): one block up to 8 qubits.
+BLOCK_AMPLITUDES = 2**16
 
 
 @dataclass(frozen=True)
@@ -90,14 +95,20 @@ def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray
 def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     _check_cap(c.n_qubits, max_qubits)
     dim = 2**c.n_qubits
-    u = np.eye(dim, dtype=complex)
     tables: dict[tuple[int, ...], np.ndarray] = {}
+    ops = []
     for g in c.gates:
         rows = tables.get(g.qubits)
         if rows is None:
             rows = tables[g.qubits] = _operand_rows(g.qubits, c.n_qubits)
-        # Each row index appears once in `rows`, so writing the product back
-        # in place updates every row exactly once.
-        gathered = u[rows].reshape(len(rows), -1)
-        u[rows] = (gate_matrix(g) @ gathered).reshape(rows.shape + (dim,))
+        ops.append((rows, gate_matrix(g)))
+    u = np.eye(dim, dtype=complex)
+    width = max(1, BLOCK_AMPLITUDES // dim)
+    for start in range(0, dim, width):
+        block = u[:, start:start + width]
+        for rows, m in ops:
+            # Each row index appears once in `rows`, so writing the product
+            # back in place updates every row exactly once.
+            gathered = block[rows].reshape(len(rows), -1)
+            block[rows] = (m @ gathered).reshape(rows.shape + (-1,))
     return u

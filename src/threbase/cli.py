@@ -103,7 +103,9 @@ def cmd_transpile(args) -> int:
         rebase_err = 0.0
         input_gates = len(c)
         if not kinds <= set(REALIFY_ALPHABET):
-            c, rebase_report = rebase_circuit(c, _kitaev_net(args), args.eps)
+            c, rebase_report = rebase_circuit(
+                c, _kitaev_net(args), args.eps, keep=REALIFY_ALPHABET
+            )
             rebase_err = rebase_report.error_bound
         out, report = realify_circuit(c)
         report = TranspileReport(

@@ -157,6 +157,7 @@ class GateSet:
     n_qubits: int
     generators: tuple[tuple[str, Gate], ...]
     closed_under_inverse: bool = False
+    labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _matrices: dict = field(default_factory=dict, repr=False, compare=False)
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -166,6 +167,7 @@ class GateSet:
         labels = [lab for lab, _ in self.generators]
         if len(set(labels)) != len(labels):
             raise ValidationError(f"duplicate generator labels in {labels}")
+        object.__setattr__(self, "labels", tuple(labels))
         for lab, g in self.generators:
             if any(q >= self.n_qubits for q in g.qubits):
                 raise ValidationError(
@@ -191,10 +193,6 @@ class GateSet:
     @property
     def dim(self) -> int:
         return 2**self.n_qubits
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(lab for lab, _ in self.generators)
 
     def matrix(self, label: str) -> np.ndarray:
         try:

@@ -16,7 +16,8 @@ whole gate costs two Toffolis and two Hadamards:
     [H(anc), CCX(a, b, anc), H(anc), CCX(a, b, anc)]
 
 The H pair cancels when the controls do not fire, which keeps the identity
-exact without controlling the Hadamards.
+exact without controlling the Hadamards.  H and CCX are real, so each
+realifies to itself tensored with the identity on the flag qubit.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .linalg import as_matrix, is_unitary
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
-REALIFY_ALPHABET = (GateKind.H, GateKind.CS)
+REALIFY_ALPHABET = (GateKind.H, GateKind.CS, GateKind.CCX)
 TARGET_ALPHABET = (GateKind.H, GateKind.CCX)
 
 
@@ -64,8 +65,8 @@ def realify_matrix(u) -> np.ndarray:
 
 
 def realify_gate(g: Gate, ancilla: int) -> list[Gate]:
-    """Realified expansion of one gate from the {H, CS} alphabet."""
-    if g.kind is GateKind.H:
+    """Realified expansion of one gate from the {H, CS, CCX} alphabet."""
+    if g.kind is GateKind.H or g.kind is GateKind.CCX:
         return [g]
     if g.kind is GateKind.CS:
         a, b = g.qubits
@@ -75,13 +76,13 @@ def realify_gate(g: Gate, ancilla: int) -> list[Gate]:
         ccx = Gate(GateKind.CCX, (a, b, ancilla))
         return [h, ccx, h, ccx]
     raise ValidationError(
-        f"realify_gate accepts only H and CS, got {g.kind.value}; "
+        f"realify_gate accepts only H, CS and CCX, got {g.kind.value}; "
         "rebase richer circuits first"
     )
 
 
 def realify_circuit(c: Circuit) -> tuple[Circuit, TranspileReport]:
-    """Realify a {H, CS} circuit onto {H, CCX} with one shared flag qubit."""
+    """Realify a {H, CS, CCX} circuit onto {H, CCX} with one shared flag qubit."""
     ancilla = c.n_qubits
     out: list[Gate] = []
     for g in c.gates:
@@ -139,18 +140,23 @@ def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]
 
 
 def rebase_circuit(
-    c: Circuit, net: "sk_mod.Net", eps: float
+    c: Circuit, net: "sk_mod.Net", eps: float, keep=()
 ) -> tuple[Circuit, TranspileReport]:
     """Rewrite a circuit over {H, CS}, approximating where no identity exists.
 
-    The accuracy budget eps is split uniformly over the gates that need
-    approximation; error_bound is the sum of achieved distances.
+    Gates whose kind is in `keep` pass through unchanged; the th route keeps
+    CCX, which realification accepts as it is.  The accuracy budget eps is
+    split uniformly over the gates that need approximation; error_bound is
+    the sum of achieved distances.
     """
     if eps <= 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     plans: list[list[Gate] | Gate] = []
     pending = 0
     for g in c.gates:
+        if g.kind in keep:
+            plans.append([g])
+            continue
         if g.kind is not GateKind.GENERIC:
             seq = rebase_exact(g)
             if seq is not None:

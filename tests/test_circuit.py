@@ -110,3 +110,56 @@ def test_row_gather_matches_dense_product(corpus):
         generic.append(Gate(GateKind.GENERIC, qs, haar_unitary(2**k, rng)))
     for c in corpus[:30] + [Circuit(5, generic)]:
         assert np.max(np.abs(circuit_unitary(c) - dense_product(c))) <= 1e-14
+
+
+def unblocked_product(c):
+    """The row-gather product applied to the whole unitary at once."""
+    from threbase.circuit import _operand_rows
+
+    dim = 2**c.n_qubits
+    u = np.eye(dim, dtype=complex)
+    for g in c.gates:
+        rows = _operand_rows(g.qubits, c.n_qubits)
+        gathered = u[rows].reshape(len(rows), -1)
+        u[rows] = (gate_matrix(g) @ gathered).reshape(rows.shape + (dim,))
+    return u
+
+
+def test_column_blocks_match_unblocked_product(corpus, monkeypatch):
+    from threbase import circuit, haar_unitary
+
+    rng = np.random.default_rng(3)
+    generic = []
+    for _ in range(40):
+        k = int(rng.integers(1, 4))
+        qs = tuple(int(q) for q in rng.choice(5, size=k, replace=False))
+        generic.append(Gate(GateKind.GENERIC, qs, haar_unitary(2**k, rng)))
+    for c in corpus[:30] + [Circuit(5, generic)]:
+        want = unblocked_product(c).tobytes()
+        assert circuit_unitary(c).tobytes() == want
+        # Blocks four columns wide; at full size they are at least 16 wide.
+        monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**c.n_qubits)
+        assert circuit_unitary(c).tobytes() == want
+        monkeypatch.undo()
+
+
+def test_circuit_unitary_peak_memory_is_bounded():
+    import tracemalloc
+
+    n = 10
+    rng = np.random.default_rng(4)
+    gates = [Gate(GateKind.H, (q,)) for q in range(n)]
+    gates += [Gate(GateKind.CCX, tuple(int(q) for q in rng.choice(n, 3, replace=False)))
+              for _ in range(4)]
+    c = Circuit(n, gates)
+    size = 16 * 4**n
+    tracemalloc.start()
+    try:
+        u = circuit_unitary(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.nbytes == size
+    # The result plus two column blocks; whole-matrix temporaries would
+    # take it to three times the unitary.
+    assert peak < 1.5 * size

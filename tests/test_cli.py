@@ -84,6 +84,30 @@ def kitaev_net_file(tmp_path_factory):
     return str(path)
 
 
+def test_transpile_th_passes_ccx_through(capsys, tmp_path, kitaev_net_file):
+    c = Circuit(4, [
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CNOT, (0, 3)),
+        Gate(GateKind.CCX, (3, 1, 2)),
+        Gate(GateKind.CS, (2, 0)),
+        Gate(GateKind.CCX, (0, 2, 1)),
+        Gate(GateKind.H, (3,)),
+    ])
+    f = write_circuit(tmp_path / "mixed.json", c)
+    out_path = tmp_path / "mixed_th.json"
+    args = ["transpile", f, "--to", "th", "--net", kitaev_net_file, "-o", str(out_path)]
+    assert main(args) == 0
+    assert "error_bound: 0\n" in capsys.readouterr().out
+    produced = parse_circuit(out_path.read_text())
+    assert {g.kind for g in produced.gates} <= {GateKind.H, GateKind.CCX}
+    assert produced.gates.count(Gate(GateKind.CCX, (3, 1, 2))) == 1
+    assert main(["verify", f, str(out_path), "--mode", "realified", "--tol", "1e-10"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+    # The kitaev target has no CCX and still refuses it.
+    assert main(["transpile", f, "--to", "kitaev", "--net", kitaev_net_file]) == 2
+    assert "3-qubit gate" in capsys.readouterr().err
+
+
 def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file):
     from threbase import haar_unitary
 

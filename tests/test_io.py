@@ -177,3 +177,102 @@ def test_net_spot_check_catches_corruption():
     doc["entries"][3]["matrix"][0] = [0.5, 0.5]
     with pytest.raises(ValidationError, match="stored matrix does not match"):
         parse_net(json.dumps(doc))
+
+
+T_PAIRS = "[[1,0],[0,0],[0,0],[0.70710678118654757,0.70710678118654746]]"
+
+
+@pytest.mark.parametrize(
+    "good, bad, message",
+    [
+        ('{"name":"H","qubits":[1]}', '{"name":"H","qubits":[1.0]}',
+         "qubits must be a list of integers"),
+        ('{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS + "}",
+         '{"name":"GENERIC","qubits":[0],"matrix":'
+         + T_PAIRS.replace("[0.70710678118654757,", '["0.70710678118654757",') + "}",
+         "matrix[3] must be a [re, im] pair"),
+        ('{"name":"H","qubits":[0]}', '{"name":"H","qubits":[0],"extra":1}',
+         "unknown field 'extra'"),
+    ],
+)
+def test_interning_keeps_the_index_of_the_first_bad_gate(good, bad, message):
+    head = '{"version":1,"qubits":2,"gates":['
+    parse_circuit(head + ",".join([good, good]) + "]}")
+    for gates, index in (([good, good, bad, good], 2), ([bad, good, good], 0)):
+        with pytest.raises(ValidationError) as e:
+            parse_circuit(head + ",".join(gates) + "]}")
+        assert str(e.value) == f"gates[{index}]: {message}"
+
+
+def test_interned_gates_equal_freshly_built_ones():
+    # Variants that validate alike but differ in type or in the sign of a
+    # zero must each keep their own fields.
+    variants = [
+        '{"name":"H","qubits":[1]}',
+        '{"name":"H","qubits":[true]}',
+        '{"name":"CS","qubits":[1,0]}',
+        '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS + "}",
+        '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS.replace("[0,0]", "[0,-0.0]") + "}",
+        '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS.replace("[1,0]", "[1.0,0]") + "}",
+    ]
+    head = '{"version":1,"qubits":2,"gates":['
+    order = [0, 3, 1, 4, 3, 0, 2, 5, 4, 4, 1, 2, 3]
+    c = parse_circuit(head + ",".join(variants[i] for i in order) + "]}")
+    for i, g in zip(order, c.gates):
+        fresh = parse_circuit(head + variants[i] + "]}").gates[0]
+        assert g == fresh
+        assert (g.kind, g.qubits) == (fresh.kind, fresh.qubits)
+        assert type(g.qubits[0]) is int
+        if fresh.matrix is None:
+            assert g.matrix is None
+        else:
+            assert g.matrix.tobytes() == fresh.matrix.tobytes()
+            assert not g.matrix.flags.writeable
+    assert emit_circuit(c) == emit_circuit(Circuit(2, [
+        parse_circuit(head + variants[i] + "]}").gates[0] for i in order
+    ]))
+
+
+def _net_doc():
+    return json.loads(emit_net(build_net(kitaev_gate_set(), 2)))
+
+
+@pytest.mark.parametrize(
+    "patch, message",
+    [
+        (lambda e: e[4]["matrix"][2].__setitem__(0, "1"),
+         "entries[4]: matrix[2] must be a [re, im] pair"),
+        (lambda e: e[5]["matrix"][0].append(0), "entries[5]: matrix[0] must be a [re, im] pair"),
+        (lambda e: e[6]["matrix"].pop(), "entries[6]: matrix has 15 entries, not a square"),
+        (lambda e: e[7].__setitem__("matrix", [[1, 0], [0, 0], [0, 0], [1, 0]]),
+         "entries[7]: matrix is 2x2, net dimension is 4"),
+        (lambda e: e.__setitem__(3, []), "entries[3]: expected an object"),
+        (lambda e: e.__setitem__(3, "entry"), "entries[3]: expected an object"),
+        (lambda e: e[8].__setitem__("matrix", None),
+         "entries[8]: matrix must be a non-empty list"),
+        (lambda e: e[8]["matrix"][1].__setitem__(1, None),
+         "entries[8]: matrix[1] must be a [re, im] pair"),
+    ],
+)
+def test_net_with_one_malformed_entry_names_it(patch, message):
+    doc = _net_doc()
+    patch(doc["entries"])
+    with pytest.raises(ValidationError) as e:
+        parse_net(json.dumps(doc))
+    assert str(e.value) == message
+
+
+def test_bulk_and_per_entry_net_matrices_are_bitwise_equal():
+    from threbase.io import _bulk_matrices, _parse_matrix
+
+    doc = _net_doc()
+    entries = doc["entries"]
+    # Integers, booleans and a negative zero convert as complex(re, im) does.
+    entries[1]["matrix"][0] = [True, -0.0]
+    entries[2]["matrix"][5] = [0, -0.0]
+    bulk = _bulk_matrices(entries, 4)
+    assert bulk is not None and bulk.dtype == np.complex128
+    for i, raw in enumerate(entries):
+        assert bulk[i].tobytes() == _parse_matrix(raw["matrix"], "").tobytes()
+    entries[3]["matrix"][0] = ["1", 0]
+    assert _bulk_matrices(entries, 4) is None
