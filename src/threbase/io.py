@@ -240,7 +240,7 @@ def _bulk_matrices(raw_entries: list, dim: int) -> np.ndarray | None:
     """
     try:
         a = np.array([raw["matrix"] for raw in raw_entries])
-    except (TypeError, KeyError, ValueError, OverflowError):
+    except (TypeError, KeyError, ValueError):
         return None
     if a.dtype.kind not in "biuf" or a.shape != (len(raw_entries), dim * dim, 2):
         return None
