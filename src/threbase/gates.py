@@ -126,7 +126,8 @@ class Gate:
         return bool(np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
-        m = None if self.matrix is None else self.matrix.tobytes()
+        # Adding 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal.
+        m = None if self.matrix is None else (self.matrix + 0.0).tobytes()
         return hash((self.kind, self.qubits, m))
 
 

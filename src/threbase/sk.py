@@ -5,6 +5,16 @@ with each entry carrying its label sequence (application order) and its
 matrix.  Dedup keeps the first sequence found in breadth-first order, so
 entries are shortest-first and net construction is fully deterministic.
 
+The build works one breadth-first layer at a time: one batched matmul
+makes a chunk of candidates, and a candidate is a duplicate when some
+entry accepted before it has dist < tol.  Accepted entries are sorted by
+one real key that ignores global phase and moves by at most sqrt(d) times
+dist, so the only entries that can be duplicates of a candidate lie in a
+key window of half-width sqrt(d) tol around it.  Whole windows are tested
+at once with one overlap einsum, and an in-order pass applies the
+keep-first rule, which gives the same net as comparing each candidate
+with every earlier entry.
+
 The recursion refines a depth-(k-1) approximation u' of u by factoring the
 residual u @ u'^dagger into a balanced group commutator V W V^dag W^dag,
 recursing on V and W, and prepending u'.  Refinement keeps whichever of
@@ -81,86 +91,132 @@ def build_net(
     dedupe_tol: float = DEFAULT_DEDUPE_TOL,
     max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Net:
-    """All products of <= max_length generators, deduplicated at dedupe_tol."""
+    """All products of <= max_length generators, deduplicated at dedupe_tol.
+
+    Each breadth-first layer multiplies every generator onto every frontier
+    entry in (entry, label) order, at most _CHUNK candidates at a time.  A
+    candidate is kept when no entry accepted before it, in this chunk or
+    earlier, lies within dist < dedupe_tol.
+    """
     if max_length < 0:
         raise ValidationError(f"max_length must be >= 0, got {max_length}")
     if dedupe_tol <= 0:
         raise ValidationError(f"dedupe_tol must be positive, got {dedupe_tol}")
-    dim = gateset.dim
-    root = NetEntry((), np.eye(dim, dtype=complex))
-    accepted = [root]
-    index = _DedupeIndex(dim, dedupe_tol)
-    index.add(root.matrix, 0)
-    frontier = [root]
-    for _ in range(max_length):
-        next_frontier = []
-        for entry in frontier:
-            for label in gateset.labels:
-                cand = gateset.matrix(label) @ entry.matrix
-                if index.has_duplicate(accepted, cand):
-                    continue
-                new = NetEntry(entry.seq + (label,), cand)
-                accepted.append(new)
-                index.add(cand, len(accepted) - 1)
-                next_frontier.append(new)
-                if len(accepted) > max_entries:
-                    raise CapExceeded(
-                        f"net exceeded {max_entries} entries at length {new.length}"
-                    )
-        frontier = next_frontier
-    return Net(gateset, max_length, dedupe_tol, accepted)
+    dim, labels = gateset.dim, gateset.labels
+    gens = np.array([gateset.matrix(lab) for lab in labels], dtype=complex)
+    gens = gens.reshape(len(labels), dim, dim)
+    index = _KeyIndex(dim, dedupe_tol)
+    index.add(np.eye(dim, dtype=complex)[None])
+    seqs: list[tuple[str, ...]] = [()]
+    start = 0
+    per_block = max(1, _CHUNK // max(1, len(labels)))
+    for length in range(1, max_length + 1):
+        stop = len(seqs)
+        frontier = index.mats[start:stop]
+        for lo in range(0, stop - start, per_block):
+            block = frontier[lo : lo + per_block]
+            cands = (gens[None] @ block[:, None]).reshape(-1, dim, dim)
+            kept = index.first_of_kind(cands)
+            if len(seqs) + len(kept) > max_entries:
+                raise CapExceeded(f"net exceeded {max_entries} entries at length {length}")
+            index.add(cands[kept])
+            for k in kept.tolist():
+                entry, g = divmod(k, len(labels))
+                seqs.append(seqs[start + lo + entry] + (labels[g],))
+        start = stop
+    return Net(gateset, max_length, dedupe_tol, map(NetEntry, seqs, index.mats))
 
 
-class _DedupeIndex:
-    """Exact duplicate test (dist < tol against any accepted entry).
+_CHUNK = 2**12
+# Float slack on the key window: it covers the cancellation in
+# 2d - 2|overlap| (about sqrt(d eps)) and the rounding of the keys.
+_BOUND_SLACK = 1e-6
 
-    Entry moduli are phase-invariant and each is 1-Lipschitz under dist, so
-    bucketing the modulus vector on a tol-grid gives a complete candidate
-    list from the 3**(d*d) neighbouring buckets.  That is only viable at
-    dimension 2; larger dimensions fall back to a vectorized linear scan.
+
+class _KeyIndex:
+    """Accepted matrices sorted by one phase-invariant real key.
+
+    The key is x(m) = |<w, vec m>| for a fixed generic unit vector w.  It
+    ignores global phase, and by Cauchy-Schwarz
+    |x(a) - x(b)| <= ||a - e^{i phi} b||_F for every phi, so it is at most
+    frob(a, b) <= sqrt(d) dist(a, b).  Every accepted entry that the
+    duplicate rule can flag for a candidate therefore has its key within
+    sqrt(d) tol (plus float slack) of the candidate's, and a sorted key
+    array turns the search into one window per candidate.
     """
 
     def __init__(self, dim: int, tol: float):
         self.dim = dim
         self.tol = tol
-        self.bucketed = dim == 2
-        self.buckets: dict[tuple, list[int]] = {}
-        self.conj: list[np.ndarray] = []
+        self.half_width = np.sqrt(dim) * tol + _BOUND_SLACK
+        # Phases k^2 radians share no rational relation with pi, so exact
+        # gate-set entries do not cancel in the key.
+        k = np.arange(1, dim * dim + 1)
+        w = np.sqrt(k) * np.exp(1j * k * k)
+        self.weights = w / np.linalg.norm(w)
+        self.mats = np.empty((0, dim, dim), dtype=complex)  # in acceptance order
+        self._keys = np.empty(0)  # ascending
+        self._ids = np.empty(0, dtype=np.intp)  # row of mats for each key
 
-    def _key(self, m: np.ndarray) -> np.ndarray:
-        return np.floor(np.abs(m).ravel() / self.tol).astype(np.int64)
+    def keys(self, ms: np.ndarray) -> np.ndarray:
+        return np.abs(ms.reshape(len(ms), self.dim * self.dim) @ self.weights)
 
-    def add(self, m: np.ndarray, idx: int):
-        if self.bucketed:
-            self.buckets.setdefault(tuple(self._key(m)), []).append(idx)
-        else:
-            self.conj.append(np.conj(m))
+    def add(self, ms: np.ndarray):
+        n = len(self.mats)
+        keys = np.concatenate([self._keys, self.keys(ms)])
+        order = np.argsort(keys, kind="stable")
+        self._keys = keys[order]
+        self._ids = np.concatenate([self._ids, np.arange(n, n + len(ms))])[order]
+        self.mats = np.concatenate([self.mats, ms])
 
-    def has_duplicate(self, accepted, cand: np.ndarray) -> bool:
-        d = self.dim
-        if self.bucketed:
-            base = self._key(cand)
-            hits: list[int] = []
-            for off in _NEIGHBOR_OFFSETS:
-                hits.extend(self.buckets.get(tuple(base + off), ()))
-            if not hits:
-                return False
-            stack = np.stack([np.conj(accepted[i].matrix) for i in hits])
-            overlap = np.abs(np.einsum("nij,ij->n", stack, cand))
-        else:
-            hits = list(range(len(self.conj)))
-            overlap = np.abs(np.einsum("nij,ij->n", np.asarray(self.conj), cand))
-        frob = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0))
-        if np.any(frob < self.tol):
-            return True
-        border = np.nonzero(frob < self.tol * np.sqrt(d))[0]
-        return any(dist(accepted[hits[i]].matrix, cand) < self.tol for i in border)
+    def first_of_kind(self, cands: np.ndarray) -> np.ndarray:
+        """Indices of the candidates the in-order keep-first rule accepts."""
+        keys = self.keys(cands)
+        which, pos = _window(self._keys, keys, self.half_width)
+        prior = self._ids[pos]
+        hit = _duplicates(self.mats[prior], cands[which], self.tol)
+        keep = np.ones(len(cands), dtype=bool)
+        keep[which[hit]] = False
+        # Pairs inside the chunk among the survivors, earlier index first.
+        fresh = np.flatnonzero(keep)
+        order = np.argsort(keys[fresh], kind="stable")
+        which, pos = _window(keys[fresh][order], keys[fresh], self.half_width)
+        earlier = order[pos]
+        mask = earlier < which
+        later, earlier = fresh[which[mask]], fresh[earlier[mask]]
+        hit = _duplicates(cands[earlier], cands[later], self.tol)
+        # Pairs come sorted by the later index, so each earlier candidate's
+        # fate is settled before it is consulted.
+        for j, i in zip(earlier[hit].tolist(), later[hit].tolist()):
+            if keep[j]:
+                keep[i] = False
+        return np.flatnonzero(keep)
 
 
-_NEIGHBOR_OFFSETS = np.array(
-    [[(i // 27) % 3 - 1, (i // 9) % 3 - 1, (i // 3) % 3 - 1, i % 3 - 1] for i in range(81)],
-    dtype=np.int64,
-)
+def _window(sorted_keys: np.ndarray, queries: np.ndarray, half_width: float):
+    """(query, position) pairs with |sorted_keys[position] - query| <= half_width."""
+    lo = np.searchsorted(sorted_keys, queries - half_width, side="left")
+    hi = np.searchsorted(sorted_keys, queries + half_width, side="right")
+    counts = hi - lo
+    which = np.repeat(np.arange(len(queries)), counts)
+    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
+    return which, np.repeat(lo, counts) + offsets
+
+
+def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarray:
+    """dist(earlier[k], later[k]) < tol for each pair.
+
+    frob = min over phi of the Frobenius distance bounds dist from above and
+    sqrt(d) dist from below: frob < tol decides a duplicate at once, and only
+    pairs in the band up to sqrt(d) tol need the eigenphase kernel.
+    """
+    d = later.shape[-1]
+    overlap = np.abs(np.einsum("nij,nij->n", np.conj(earlier), later))
+    frob = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0))
+    hit = frob < tol
+    for k in np.flatnonzero(~hit & (frob < tol * np.sqrt(d))):
+        hit[k] = dist(earlier[k], later[k]) < tol
+    return hit
 
 
 def truncate(net: Net, max_length: int) -> Net:
@@ -177,7 +233,6 @@ def truncate(net: Net, max_length: int) -> Net:
     return Net(net.gateset, max_length, net.dedupe_tol, kept)
 
 
-_BOUND_SLACK = 1e-6
 _TIE_TOL = 1e-12
 
 

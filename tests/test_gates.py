@@ -82,6 +82,14 @@ def test_gate_equality_and_hash():
     assert Gate(GateKind.H, (0,)) != Gate(GateKind.H, (1,))
 
 
+def test_equal_gates_with_signed_zeros_hash_equal():
+    a = Gate(GateKind.GENERIC, (0,), np.array([[1, 0.0], [0.0, 1]], dtype=complex))
+    b = Gate(GateKind.GENERIC, (0,), np.array([[1, -0.0], [complex(0.0, -0.0), 1]]))
+    assert a.matrix.tobytes() != b.matrix.tobytes()
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b}) == 1
+
+
 def test_kitaev_set_embeds_generators():
     gs = kitaev_gate_set()
     assert gs.labels == ("H0", "H1", "CS")

@@ -22,6 +22,7 @@ from threbase import (
     sk_trace,
     truncate,
 )
+from threbase import sk
 from threbase.errors import CapExceeded, ValidationError
 from threbase.sk import NetEntry, _angle_axis, _nearest, _to_su2
 
@@ -87,11 +88,27 @@ def test_build_is_deterministic():
     assert all(np.array_equal(x.matrix, y.matrix) for x, y in zip(a.entries, b.entries))
 
 
-def test_bucketed_dedupe_matches_naive_reference():
-    gs = demo_1q_gate_set()
-    got = build_net(gs, 8)
-    want = naive_net(gs, 8, got.dedupe_tol)
+def assert_same_entries(got, want):
     assert [e.seq for e in got.entries] == [e.seq for e in want]
+    assert all(a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(got.entries, want))
+
+
+def test_bucketed_dedupe_matches_naive_reference():
+    # Wide tolerances widen the key windows and send pairs through the
+    # eigenphase border test; dimension 4 has its own key weights.
+    cases = [(demo_1q_gate_set(), 8, tol) for tol in (1e-4, 1e-2, 0.3)]
+    cases.append((kitaev_gate_set(), 4, 1e-4))
+    for gs, length, tol in cases:
+        assert_same_entries(build_net(gs, length, tol), naive_net(gs, length, tol))
+
+
+def test_chunked_build_matches_naive_reference(monkeypatch):
+    # Seven candidates per chunk: layers straddle chunk boundaries, so
+    # duplicates are found both in earlier chunks of a layer and inside one.
+    monkeypatch.setattr(sk, "_CHUNK", 7)
+    gs = demo_1q_gate_set()
+    got = build_net(gs, 6)
+    assert_same_entries(got, naive_net(gs, 6, got.dedupe_tol))
 
 
 def test_net_entries_respect_dedupe_gap():
@@ -110,9 +127,16 @@ def test_net_entries_reevaluate_from_sequences(demo12):
         assert np.max(np.abs(gs.evaluate(e.seq) - e.matrix)) < 1e-10
 
 
-def test_entry_cap():
-    with pytest.raises(CapExceeded):
-        build_net(demo_1q_gate_set(), 8, max_entries=50)
+def test_entry_cap(monkeypatch):
+    # The cap fires in the layer where the naive build would pass it,
+    # also when that layer spans several chunks.
+    for chunk in (sk._CHUNK, 7):
+        monkeypatch.setattr(sk, "_CHUNK", chunk)
+        with pytest.raises(CapExceeded, match=r"^net exceeded 50 entries at length 5$"):
+            build_net(demo_1q_gate_set(), 8, max_entries=50)
+        with pytest.raises(CapExceeded, match=r"^net exceeded 0 entries at length 1$"):
+            build_net(kitaev_gate_set(), 3, max_entries=0)
+    assert len(build_net(kitaev_gate_set(), 0, max_entries=0)) == 1
 
 
 def test_nearest_finds_generators_and_validates():
