@@ -81,6 +81,9 @@ class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
     matrix: np.ndarray | None = None
+    # Matrix bytes with -0.0 folded into 0.0, which __eq__ treats as equal;
+    # set once for GENERIC gates so that hashing copies no matrix.
+    _hash_key = None
 
     def __post_init__(self):
         object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
@@ -108,6 +111,7 @@ class Gate:
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "_hash_key", (m + 0.0).tobytes())
         else:
             if self.matrix is not None:
                 raise ValidationError(f"{kind.value} gate does not take a matrix")
@@ -126,9 +130,7 @@ class Gate:
         return bool(np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
-        # Adding 0.0 turns -0.0 into 0.0, which __eq__ already treats as equal.
-        m = None if self.matrix is None else (self.matrix + 0.0).tobytes()
-        return hash((self.kind, self.qubits, m))
+        return hash((self.kind, self.qubits, self._hash_key))
 
 
 def gate_matrix(gate: Gate | GateKind | str) -> np.ndarray:

@@ -206,9 +206,9 @@ def _window(sorted_keys: np.ndarray, queries: np.ndarray, half_width: float):
 def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarray:
     """dist(earlier[k], later[k]) < tol for each pair.
 
-    frob = min over phi of the Frobenius distance bounds dist from above and
-    sqrt(d) dist from below: frob < tol decides a duplicate at once, and only
-    pairs in the band up to sqrt(d) tol need the eigenphase kernel.
+    frob, the Frobenius distance minimized over phase, has
+    dist <= frob <= sqrt(d) dist: frob < tol decides a duplicate at once,
+    and only pairs with tol <= frob < sqrt(d) tol need the eigenphase kernel.
     """
     d = later.shape[-1]
     overlap = np.abs(np.einsum("nij,nij->n", np.conj(earlier), later))
