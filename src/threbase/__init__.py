@@ -25,9 +25,7 @@ from .gates import (
 from .io import emit_circuit, emit_net, parse_circuit, parse_net
 from .linalg import dist, haar_unitary, is_unitary, phase_dist
 from .passes import (
-    RealifiedGate,
     TranspileReport,
-    realified_expansion,
     realify_circuit,
     realify_gate,
     realify_matrix,
@@ -39,13 +37,11 @@ from .sk import (
     NetEntry,
     SKConfig,
     build_net,
-    covering_radius_sample,
     gc_decompose,
     nearest,
     net_search_2q,
     sk_approx,
     sk_trace,
-    truncate,
 )
 from .verify import (
     EquivalenceReport,
@@ -53,7 +49,6 @@ from .verify import (
     check_exact,
     check_measurement_stats,
     check_realified,
-    overhead_stats,
     run,
 )
 
@@ -72,7 +67,6 @@ __all__ = [
     "MAX_QUBITS",
     "Net",
     "NetEntry",
-    "RealifiedGate",
     "SKConfig",
     "StateVector",
     "TranspileReport",
@@ -82,7 +76,6 @@ __all__ = [
     "check_measurement_stats",
     "check_realified",
     "circuit_unitary",
-    "covering_radius_sample",
     "demo_1q_gate_set",
     "dist",
     "embed",
@@ -95,11 +88,9 @@ __all__ = [
     "kitaev_gate_set",
     "nearest",
     "net_search_2q",
-    "overhead_stats",
     "parse_circuit",
     "parse_net",
     "phase_dist",
-    "realified_expansion",
     "realify_circuit",
     "realify_gate",
     "realify_matrix",
@@ -108,5 +99,4 @@ __all__ = [
     "run",
     "sk_approx",
     "sk_trace",
-    "truncate",
 ]

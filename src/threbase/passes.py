@@ -47,15 +47,6 @@ class TranspileReport:
     error_bound: float = 0.0
 
 
-@dataclass(frozen=True)
-class RealifiedGate:
-    """One source gate with its realified expansion on the shared flag qubit."""
-
-    source: Gate
-    emitted: tuple[Gate, ...]
-    ancilla: int
-
-
 def realify_matrix(u) -> np.ndarray:
     """Real orthogonal encoding of u, flag qubit appended least significant."""
     u = as_matrix(u)
@@ -98,9 +89,10 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, TranspileReport]:
     return rc, report
 
 
-# Exact expansions over {H, CS}, in application order.  Single-qubit X, Z
-# and S admit no exact ancilla-free expansion here and go through the
-# approximation route instead.
+# Exact expansions over {H, CS}, in application order.  The single-qubit
+# X, Z, S and SDG have exact words too (S on qubit 0 is the word
+# H1 CS H1 CS CS H1 CS H1 CS CS), but they go through the approximation
+# route until exact synthesis of two-qubit Clifford+CS words lands.
 def rebase_exact(g: Gate) -> list[Gate] | None:
     kind = g.kind
     if kind is GateKind.H or kind is GateKind.CS:
@@ -203,7 +195,3 @@ def _emit_kitaev(seq, pair: tuple[int, int], net: "sk_mod.Net") -> list[Gate]:
         qubits = tuple(pair[q] for q in g.qubits)
         out.append(Gate(g.kind, qubits, matrix=g.matrix))
     return out
-
-
-def realified_expansion(g: Gate, ancilla: int) -> RealifiedGate:
-    return RealifiedGate(source=g, emitted=tuple(realify_gate(g, ancilla)), ancilla=ancilla)

@@ -37,6 +37,8 @@ DEFAULT_DEDUPE_TOL = 1e-4
 DEFAULT_EPS = 1e-2
 DEFAULT_MAX_ENTRIES = 5_000_000
 GC_MAX_DIST = 0.5
+# Largest group-commutator residual that gc_decompose accepts.
+COMMUTATOR_TOL = 1e-10
 
 _SIGMA = (
     np.array([[0, 1], [1, 0]], dtype=complex),
@@ -219,20 +221,6 @@ def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarra
     return hit
 
 
-def truncate(net: Net, max_length: int) -> Net:
-    """Sub-net of sequences not longer than max_length.
-
-    Identical to a fresh build at the smaller bound: dedup decisions for a
-    length-l candidate only ever consult entries of length <= l.
-    """
-    if max_length > net.max_length:
-        raise ValidationError(
-            f"cannot extend a net of max_length {net.max_length} to {max_length}"
-        )
-    kept = [e for e in net.entries if e.length <= max_length]
-    return Net(net.gateset, max_length, net.dedupe_tol, kept)
-
-
 _TIE_TOL = 1e-12
 
 
@@ -254,7 +242,7 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
         absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
         folded = np.minimum(1.0, np.abs(tr) / (2.0 * np.sqrt(net.absdet_stack() * absdet_u)))
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
-        ties = np.flatnonzero(dists == dists.min())
+        ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
         best = min(ties, key=lambda i: (net.entries[i].length, net.entries[i].seq))
         entry = net.entries[best]
         if dists[best] < 1e-5:
@@ -289,11 +277,6 @@ def net_search_2q(u, net: Net) -> tuple[tuple[str, ...], float]:
         raise ValidationError("net_search_2q needs a net over a two-qubit gate set")
     entry, achieved = _nearest(net, u)
     return entry.seq, achieved
-
-
-def covering_radius_sample(net: Net, targets) -> float:
-    """Max nearest-entry distance over a target sample."""
-    return max(_nearest(net, t)[1] for t in targets)
 
 
 # --- balanced group commutator -------------------------------------------
@@ -354,11 +337,11 @@ def _axis_aligner(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     return _rotation(cross / norm, angle)
 
 
-def gc_decompose(delta, commutator_tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     """Factor a near-identity 2x2 unitary as a balanced group commutator.
 
     Returns equal-angle rotations (V, W) about orthogonal axes with
-    dist(delta, V W V^dag W^dag) <= commutator_tol.  The rotation angle is
+    dist(delta, V W V^dag W^dag) <= COMMUTATOR_TOL.  The rotation angle is
     a closed form in delta's angle, and the commutator axis is then
     conjugated onto delta's axis.
     """
@@ -392,9 +375,9 @@ def gc_decompose(delta, commutator_tol: float = 1e-10) -> tuple[np.ndarray, np.n
     v = s @ v @ s.conj().T
     w = s @ w @ s.conj().T
     residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
-    if residual > commutator_tol:
+    if residual > COMMUTATOR_TOL:
         raise CompileError(
-            f"group commutator residual {residual:.3e} above {commutator_tol:.1e}"
+            f"group commutator residual {residual:.3e} above {COMMUTATOR_TOL:.1e}"
         )
     return v, w
 
@@ -406,7 +389,6 @@ class SKConfig:
     net: Net
     eps: float = DEFAULT_EPS
     depth: int = 3
-    commutator_tol: float = 1e-10
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -429,15 +411,15 @@ def _invert_seq(seq, gateset: GateSet) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _refine(u: np.ndarray, prev: _Approx, sub_depth: int, net: Net, ctol: float) -> _Approx:
+def _refine(u: np.ndarray, prev: _Approx, sub_depth: int, net: Net) -> _Approx:
     # dist is unitary-invariant, so dist(residual, I) is exactly prev.achieved
     # and the group-commutator precondition reduces to a threshold on it.
     if prev.achieved < 1e-12 or prev.achieved > GC_MAX_DIST:
         return prev
     delta = u @ prev.matrix.conj().T
-    v_t, w_t = gc_decompose(delta, ctol)
-    av = _sk(v_t, sub_depth, net, ctol)
-    aw = _sk(w_t, sub_depth, net, ctol)
+    v_t, w_t = gc_decompose(delta)
+    av = _levels(v_t, sub_depth, net)[-1]
+    aw = _levels(w_t, sub_depth, net)[-1]
     m = av.matrix @ aw.matrix @ av.matrix.conj().T @ aw.matrix.conj().T @ prev.matrix
     gs = net.gateset
     seq = (
@@ -453,12 +435,13 @@ def _refine(u: np.ndarray, prev: _Approx, sub_depth: int, net: Net, ctol: float)
     return prev
 
 
-def _sk(u: np.ndarray, depth: int, net: Net, ctol: float) -> _Approx:
+def _levels(u: np.ndarray, depth: int, net: Net) -> list[_Approx]:
+    """Approximations of u at depths 0..depth, each refining the one before."""
     entry, d0 = _nearest(net, u)
-    approx = _Approx(entry.seq, entry.matrix, d0)
+    levels = [_Approx(entry.seq, entry.matrix, d0)]
     for k in range(depth):
-        approx = _refine(u, approx, k, net, ctol)
-    return approx
+        levels.append(_refine(u, levels[-1], k, net))
+    return levels
 
 
 def sk_trace(u, cfg: SKConfig) -> list[tuple[tuple[str, ...], float]]:
@@ -468,13 +451,7 @@ def sk_trace(u, cfg: SKConfig) -> list[tuple[tuple[str, ...], float]]:
         raise ValidationError("the recursion refines single-qubit targets only")
     if not is_unitary(u):
         raise ValidationError("target must be unitary")
-    entry, d0 = _nearest(cfg.net, u)
-    approx = _Approx(entry.seq, entry.matrix, d0)
-    trace = [(approx.seq, approx.achieved)]
-    for k in range(cfg.depth):
-        approx = _refine(u, approx, k, cfg.net, cfg.commutator_tol)
-        trace.append((approx.seq, approx.achieved))
-    return trace
+    return [(a.seq, a.achieved) for a in _levels(u, cfg.depth, cfg.net)]
 
 
 def sk_approx(u, cfg: SKConfig) -> tuple[tuple[str, ...], float]:

@@ -27,7 +27,6 @@ from .circuit import MAX_QUBITS, Circuit, _check_cap, circuit_unitary
 from .errors import ValidationError
 from .gates import gate_matrix
 from .linalg import dist
-from .passes import TranspileReport
 
 NORM_ATOL = 1e-10
 DEFAULT_TOL = 1e-10
@@ -201,11 +200,3 @@ def check_measurement_stats(
         deviations[cols] = np.max(np.abs(p_real - p_orig), axis=0)
     worst = int(np.argmax(deviations))
     return _report("measurement-stats", deviations.tolist(), tol, worst)
-
-
-def overhead_stats(report: TranspileReport) -> bool:
-    """Gate-count and qubit-count bounds for the realify pass."""
-    return (
-        report.output_gates <= 4 * report.input_gates
-        and report.output_qubits == report.input_qubits + 1
-    )

@@ -20,19 +20,18 @@ from threbase import (
     check_measurement_stats,
     check_realified,
     circuit_unitary,
-    covering_radius_sample,
     dist,
     emit_circuit,
     gate_matrix,
     haar_unitary,
     kitaev_gate_set,
+    nearest,
     net_search_2q,
     realify_circuit,
     realify_matrix,
     rebase_exact,
     run,
     sk_trace,
-    truncate,
 )
 from threbase.cli import main as cli_main
 
@@ -173,7 +172,7 @@ def test_recursion_tightens_with_depth_on_random_targets(demo22, acceptance_log)
     t0 = time.perf_counter()
     probe_rng = np.random.default_rng(99)
     probes = [haar_unitary(2, probe_rng) for _ in range(200)]
-    radius = covering_radius_sample(demo22, probes)
+    radius = max(dist(nearest(demo22, p).matrix, p) for p in probes)
 
     rng = np.random.default_rng(20250825)
     cfg = SKConfig(net=demo22, eps=1e-12, depth=4)
@@ -208,14 +207,12 @@ def test_recursion_tightens_with_depth_on_random_targets(demo22, acceptance_log)
     )
 
 
-def test_two_qubit_net_hits_cliffords_and_tightens_with_length(
-    kitaev8, acceptance_log
-):
+def test_two_qubit_net_hits_cliffords_and_tightens_with_length(acceptance_log):
     """Criterion 8: the length-3 two-qubit net contains CZ and the CS
     inverse exactly, and net-search distance is non-increasing in net
     length over 20 random targets.  Under 10 min."""
     t0 = time.perf_counter()
-    net3 = truncate(kitaev8, 3)
+    net3 = build_net(kitaev_gate_set(), 3)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
     _, d_cz = net_search_2q(cz, net3)
     _, d_csdg = net_search_2q(CS4.conj().T, net3)
@@ -224,7 +221,7 @@ def test_two_qubit_net_hits_cliffords_and_tightens_with_length(
 
     rng = np.random.default_rng(8)
     targets = [haar_unitary(4, rng) for _ in range(20)]
-    nets = {length: truncate(kitaev8, length) for length in (4, 6, 8)}
+    nets = {length: build_net(kitaev_gate_set(), length) for length in (4, 6, 8)}
     worst_final = 0.0
     for u in targets:
         prev = None

@@ -6,12 +6,13 @@ from threbase import (
     Circuit,
     Gate,
     GateKind,
+    build_net,
     circuit_unitary,
     dist,
     gate_matrix,
     haar_unitary,
+    kitaev_gate_set,
     net_search_2q,
-    realified_expansion,
     realify_circuit,
     realify_gate,
     realify_matrix,
@@ -88,19 +89,13 @@ def test_realify_gate_expansions():
         realify_gate(CS_GATE, 1)
 
 
-def test_realified_expansion_record():
-    rec = realified_expansion(CS_GATE, 2)
-    assert rec.source == CS_GATE
-    assert rec.ancilla == 2
-    assert len(rec.emitted) == 4
-
-
 def test_realify_circuit_equals_realified_unitary(corpus):
     for c in corpus[:20]:
         rc, report = realify_circuit(c)
         assert rc.n_qubits == c.n_qubits + 1
         assert len(rc) <= 4 * len(c)
         assert report.output_qubits == report.input_qubits + 1
+        assert report.output_gates == len(rc) <= 4 * report.input_gates
         got = circuit_unitary(rc)
         want = realify_matrix(circuit_unitary(c))
         assert np.max(np.abs(got - want)) < 1e-12
@@ -130,12 +125,21 @@ def test_rebase_exact_passthrough_and_misses():
     assert rebase_exact(Gate(GateKind.GENERIC, (0,), np.diag([1, 1j]))) is None
 
 
-def test_pauli_x_is_no_net_product(kitaev8):
-    # The nearest short product to X (x) I keeps a provable gap, which is why
-    # X has no entry in the exact table.
-    from threbase import truncate
+def test_s_has_an_exact_kitaev_word():
+    # S is approximated on the rebase route, yet an exact {H, CS} word for
+    # it exists: the table's misses are not for want of one.
+    h1 = Gate(GateKind.H, (1,))
+    word = [h1, CS_GATE, h1, CS_GATE, CS_GATE, h1, CS_GATE, h1, CS_GATE, CS_GATE]
+    w = circuit_unitary(Circuit(2, word))
+    s_on_0 = np.kron(gate_matrix(GateKind.S), np.eye(2))
+    assert np.linalg.norm(w - s_on_0, 2) <= 1e-12
 
-    seq, achieved = net_search_2q(np.kron(gate_matrix(GateKind.X), np.eye(2)), truncate(kitaev8, 6))
+
+def test_pauli_x_is_no_net_product():
+    # No product of at most six generators is X (x) I up to phase; the
+    # nearest one keeps a gap of 2 sin(pi/8).
+    net6 = build_net(kitaev_gate_set(), 6)
+    seq, achieved = net_search_2q(np.kron(gate_matrix(GateKind.X), np.eye(2)), net6)
     assert seq == ("H0",)
     assert achieved == pytest.approx(0.7653668647301796, abs=1e-12)
 

@@ -9,7 +9,6 @@ from threbase import (
     Net,
     SKConfig,
     build_net,
-    covering_radius_sample,
     demo_1q_gate_set,
     dist,
     gate_matrix,
@@ -20,7 +19,6 @@ from threbase import (
     net_search_2q,
     sk_approx,
     sk_trace,
-    truncate,
 )
 from threbase import sk
 from threbase.errors import CapExceeded, ValidationError
@@ -29,19 +27,29 @@ from threbase.sk import NetEntry, _angle_axis, _nearest, _to_su2
 CS4 = np.diag([1, 1, 1, 1j])
 
 
+def arc_dists(stack, m):
+    """dist(a, m) for every a in the stack: 2 sin(W/4), W the smallest arc
+    that holds the eigenphases of a^dag m."""
+    phases = np.sort(np.angle(np.linalg.eigvals(np.conj(np.swapaxes(stack, 1, 2)) @ m)))
+    gaps = np.diff(phases, axis=1, append=phases[:, :1] + 2 * np.pi)
+    return 2 * np.sin(np.maximum(2 * np.pi - gaps.max(axis=1), 0.0) / 4)
+
+
 def naive_net(gateset, max_length, tol):
     """Quadratic reference build: same BFS and keep-first rule, no index."""
     entries = [NetEntry((), np.eye(gateset.dim, dtype=complex))]
+    mats = np.array([entries[0].matrix])
     frontier = list(entries)
     for _ in range(max_length):
         nxt = []
         for e in frontier:
             for lab in gateset.labels:
                 m = gateset.matrix(lab) @ e.matrix
-                if any(dist(a.matrix, m) < tol for a in entries):
+                if np.any(arc_dists(mats, m) < tol):
                     continue
                 new = NetEntry(e.seq + (lab,), m)
                 entries.append(new)
+                mats = np.concatenate([mats, m[None]])
                 nxt.append(new)
         frontier = nxt
     return entries
@@ -72,13 +80,12 @@ def test_entry_counts_monotone_in_length():
     assert counts[0] == 4
 
 
-def test_truncate_equals_fresh_build():
+def test_shorter_build_is_a_prefix_of_longer():
+    # Dedup decisions for a length-l candidate only consult entries of
+    # length <= l, so a shorter build is the longer one cut at its bound.
     full = build_net(kitaev_gate_set(), 4)
-    cut = truncate(full, 2)
-    fresh = build_net(kitaev_gate_set(), 2)
-    assert [e.seq for e in cut.entries] == [e.seq for e in fresh.entries]
-    with pytest.raises(ValidationError):
-        truncate(full, 5)
+    short = build_net(kitaev_gate_set(), 2)
+    assert_same_entries(short, [e for e in full.entries if e.length <= 2])
 
 
 def test_build_is_deterministic():
@@ -93,7 +100,7 @@ def assert_same_entries(got, want):
     assert all(a.matrix.tobytes() == b.matrix.tobytes() for a, b in zip(got.entries, want))
 
 
-def test_bucketed_dedupe_matches_naive_reference():
+def test_dedupe_matches_naive_reference():
     # Wide tolerances widen the key windows and send pairs through the
     # eigenphase border test; dimension 4 has its own key weights.
     cases = [(demo_1q_gate_set(), 8, tol) for tol in (1e-4, 1e-2, 0.3)]
@@ -151,8 +158,11 @@ def test_nearest_finds_generators_and_validates():
 
 
 @pytest.mark.parametrize("dim_fixture", ["demo12", "kitaev_small"])
-def test_nearest_matches_linear_scan_oracle(request, dim_fixture, kitaev8):
-    net = request.getfixturevalue("demo12") if dim_fixture == "demo12" else truncate(kitaev8, 4)
+def test_nearest_matches_linear_scan_oracle(request, dim_fixture):
+    if dim_fixture == "demo12":
+        net = request.getfixturevalue("demo12")
+    else:
+        net = build_net(kitaev_gate_set(), 4)
     rng = np.random.default_rng(20)
     for _ in range(15):
         u = haar_unitary(net.gateset.dim, rng)
@@ -175,6 +185,18 @@ def test_nearest_breaks_exact_ties_by_length(kitaev8, kind, want):
         assert nearest(kitaev8, u).seq == want
 
 
+def test_nearest_breaks_rounded_ties_by_length_at_dimension_2():
+    # diag(1, e^{i pi/8}) lies halfway between I and T, and a global phase
+    # on the target changes which of the two distances rounds lower; the
+    # empty word must win either way.
+    net = build_net(demo_1q_gate_set(), 3)
+    for phase in (0.0, -0.7, 1.0, 2.5):
+        u = np.exp(1j * phase) * np.diag([1, np.exp(1j * np.pi / 8)])
+        entry, achieved = _nearest(net, u)
+        assert entry.seq == ()
+        assert achieved == pytest.approx(2 * np.sin(np.pi / 32), abs=1e-12)
+
+
 def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
     rng = np.random.default_rng(28)
     for i in rng.choice(len(kitaev8), size=12, replace=False):
@@ -193,8 +215,9 @@ def test_nearest_rejects_non_unitary_target(kitaev8):
 def test_covering_radius_shrinks_with_length(demo12):
     rng = np.random.default_rng(21)
     probes = [haar_unitary(2, rng) for _ in range(40)]
-    r8 = covering_radius_sample(truncate(demo12, 8), probes)
-    r12 = covering_radius_sample(demo12, probes)
+    demo8 = build_net(demo_1q_gate_set(), 8)
+    r8 = max(_nearest(demo8, p)[1] for p in probes)
+    r12 = max(_nearest(demo12, p)[1] for p in probes)
     assert 0 < r12 <= r8 < 2.0
 
 

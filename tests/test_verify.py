@@ -7,12 +7,10 @@ from threbase import (
     Gate,
     GateKind,
     StateVector,
-    TranspileReport,
     check_exact,
     check_measurement_stats,
     check_realified,
     circuit_unitary,
-    overhead_stats,
     realify_circuit,
     run,
 )
@@ -127,22 +125,6 @@ def test_measurement_stats_blind_to_flag_and_phase():
     rep = check_measurement_stats(c, wrong)
     assert not rep.passed
     assert rep.max_deviation == pytest.approx(0.5, abs=1e-12)
-
-
-def test_overhead_stats_boundaries():
-    ok = TranspileReport(input_gates=5, output_gates=20, input_qubits=3, output_qubits=4)
-    assert overhead_stats(ok)
-    too_many = TranspileReport(input_gates=5, output_gates=21, input_qubits=3, output_qubits=4)
-    assert not overhead_stats(too_many)
-    wrong_width = TranspileReport(input_gates=5, output_gates=20, input_qubits=3, output_qubits=5)
-    assert not overhead_stats(wrong_width)
-    empty = TranspileReport(input_gates=0, output_gates=0, input_qubits=2, output_qubits=3)
-    assert overhead_stats(empty)
-
-
-def test_overhead_stats_hold_on_realified_corpus(corpus):
-    for c in corpus[:20]:
-        assert overhead_stats(realify_circuit(c)[1])
 
 
 def test_report_passed_flag_must_match():
