@@ -29,6 +29,7 @@ from .passes import (
     REALIFY_ALPHABET,
     TARGET_ALPHABET,
     TranspileReport,
+    needs_net,
     realify_circuit,
     rebase_circuit,
 )
@@ -103,9 +104,8 @@ def cmd_transpile(args) -> int:
         rebase_err = 0.0
         input_gates = len(c)
         if not kinds <= set(REALIFY_ALPHABET):
-            c, rebase_report = rebase_circuit(
-                c, _kitaev_net(args), args.eps, keep=REALIFY_ALPHABET
-            )
+            net = _kitaev_net(args) if needs_net(c, REALIFY_ALPHABET) else None
+            c, rebase_report = rebase_circuit(c, net, args.eps, keep=REALIFY_ALPHABET)
             rebase_err = rebase_report.error_bound
         out, report = realify_circuit(c)
         report = TranspileReport(
@@ -217,9 +217,10 @@ def cmd_simulate(args) -> int:
     n = c.n_qubits
     out = []
     for i, amp in enumerate(state.amplitudes):
-        out.append(
-            f"|{i:0{n}b}> {format(amp.real, '.17g')} {format(amp.imag, '.17g')}\n"
-        )
+        # Adding 0.0 turns -0.0, whose sign depends on the BLAS kernel and
+        # the simulator route, into 0.0.
+        re, im = amp.real + 0.0, amp.imag + 0.0
+        out.append(f"|{i:0{n}b}> {format(re, '.17g')} {format(im, '.17g')}\n")
     sys.stdout.write("".join(out))
     return 0
 

@@ -111,6 +111,21 @@ def rebase_exact(g: Gate) -> list[Gate] | None:
     return None
 
 
+def _exact_rewrite(g: Gate, keep) -> list[Gate] | None:
+    """[g] when its kind is kept, else its exact {H, CS} word; None when g
+    has to be approximated from a net."""
+    if g.kind in keep:
+        return [g]
+    if g.kind is GateKind.GENERIC:
+        return None
+    return rebase_exact(g)
+
+
+def needs_net(c: Circuit, keep=()) -> bool:
+    """Whether rebase_circuit(c, net, eps, keep) searches the net at all."""
+    return any(_exact_rewrite(g, keep) is None for g in c.gates)
+
+
 def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]:
     """Two-qubit unitary and qubit pair for a gate with no exact expansion."""
     if len(g.qubits) == 2:
@@ -132,12 +147,13 @@ def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]
 
 
 def rebase_circuit(
-    c: Circuit, net: "sk_mod.Net", eps: float, keep=()
+    c: Circuit, net: "sk_mod.Net | None", eps: float, keep=()
 ) -> tuple[Circuit, TranspileReport]:
     """Rewrite a circuit over {H, CS}, approximating where no identity exists.
 
     Gates whose kind is in `keep` pass through unchanged; the th route keeps
-    CCX, which realification accepts as it is.  The accuracy budget eps is
+    CCX, which realification accepts as it is.  net may be None when
+    needs_net(c, keep) is false.  The accuracy budget eps is
     split uniformly over the gates that need approximation; error_bound is
     the sum of achieved distances.
     """
@@ -146,16 +162,12 @@ def rebase_circuit(
     plans: list[list[Gate] | Gate] = []
     pending = 0
     for g in c.gates:
-        if g.kind in keep:
-            plans.append([g])
-            continue
-        if g.kind is not GateKind.GENERIC:
-            seq = rebase_exact(g)
-            if seq is not None:
-                plans.append(seq)
-                continue
-        plans.append(g)
-        pending += 1
+        seq = _exact_rewrite(g, keep)
+        if seq is None:
+            plans.append(g)
+            pending += 1
+        else:
+            plans.append(seq)
 
     budget = eps / pending if pending else eps
     out: list[Gate] = []

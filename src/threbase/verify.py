@@ -1,11 +1,17 @@
 """Statevector simulation and circuit equivalence checks.
 
-The simulator applies each gate as a local update on the amplitude tensor
-(axis permutation plus a small matmul), never forming the 2^n x 2^n
-embedded matrix.  That keeps it an independent oracle against
-circuit_unitary, which gathers rows of a running matrix: the two routes
-share no state-update or index code, so their agreement is a real check
-rather than a tautology.
+The simulator applies each gate as a local update on the amplitude tensor,
+never forming the 2^n x 2^n embedded matrix.  A gate whose matrix is a
+permutation (one entry per row, exactly 1: CCX, CNOT, X, or such a GENERIC
+matrix) moves the slices it permutes through basic-index views, with no
+matmul and no full copy; any other gate is an axis permutation plus a
+small matmul.  When every gate matrix is real, as on every circuit that
+`transpile --to th` emits, the state is float64 and the matmuls use the
+real parts; otherwise it is complex.  The route follows from the
+matrices, not from an option.  That keeps the simulator an independent
+oracle against circuit_unitary, which gathers rows of a running matrix:
+the two routes share no state-update or index code, so their agreement
+is a real check rather than a tautology.
 
 The tensor carries a trailing batch axis, shape (2,)*n + (B,), so one pass
 over the gates applies the circuit to B basis inputs at once.  The
@@ -19,7 +25,9 @@ qubit, so a complex map U on n qubits is validated against
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -31,10 +39,10 @@ from .linalg import dist
 NORM_ATOL = 1e-10
 DEFAULT_TOL = 1e-10
 # Cap on the amplitudes of one batched pass (inputs x 2**n): 4 MiB of
-# complex128, so a pass holds about 12 MiB (the state, its moved copy and
-# the matmul product) at any width.  On a 12-qubit realified check, caps
-# from 2**17 to 2**20 ran at the same speed per input; the cap bounds
-# memory, not time.
+# complex128, so a complex pass holds about 12 MiB (the state, its moved
+# copy and the matmul product) at any width, and a float64 pass half that.
+# On a 12-qubit realified check, caps from 2**17 to 2**20 ran at the same
+# speed per input; the cap bounds memory, not time.
 BATCH_AMPLITUDES = 1 << 18
 
 
@@ -87,24 +95,84 @@ def _report(kind: str, deviations, tol: float, worst: int | None) -> Equivalence
     return EquivalenceReport(kind, mx, tuple(deviations), tol, worst, mx <= tol)
 
 
+def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
+    """Cycles of basic indices for a permutation matrix, else None.
+
+    m is a permutation when each row has exactly one nonzero entry, that
+    entry is exactly 1, and no two rows take the same column.  Output slice
+    r of the operand axes is then input slice src[r], so following each
+    cycle of src moves the slices it permutes and leaves fixed points alone.
+    """
+    src = []
+    for row in m.tolist():
+        cols = [j for j, x in enumerate(row) if x]
+        if len(cols) != 1 or row[cols[0]] != 1:
+            return None
+        src.append(cols[0])
+    if sorted(src) != list(range(len(src))):
+        return None
+    # Local index r sets the operand bits bits[r], first operand most
+    # significant, which is the order itertools.product counts in.
+    bits = list(itertools.product((0, 1), repeat=len(qubits)))
+
+    def index(r: int) -> tuple:
+        idx = [slice(None)] * (n + 1)
+        for q, bit in zip(qubits, bits[r]):
+            idx[q] = bit
+        return tuple(idx)
+
+    cycles, seen = [], set()
+    for start, s in enumerate(src):
+        if start in seen or s == start:
+            continue
+        cycle = [start]
+        while src[cycle[-1]] != start:
+            cycle.append(src[cycle[-1]])
+        seen.update(cycle)
+        cycles.append([index(r) for r in cycle])
+    return cycles
+
+
+def _apply_moves(psi: np.ndarray, cycles) -> np.ndarray:
+    for cycle in cycles:
+        first = psi[cycle[0]].copy()
+        for dst, src in zip(cycle, cycle[1:]):
+            psi[dst] = psi[src]
+        psi[cycle[-1]] = first
+    return psi
+
+
+def _apply_matrix(psi: np.ndarray, m: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    k = len(qubits)
+    moved = np.moveaxis(psi, qubits, range(k))
+    shape = moved.shape
+    moved = m @ moved.reshape(2**k, -1)
+    return np.moveaxis(moved.reshape(shape), range(k), qubits)
+
+
 def _simulate(c: Circuit, basis_indices: np.ndarray) -> np.ndarray:
     """Output states for a batch of basis inputs, one column per input.
 
-    Raises ValidationError when a column's norm is off 1 by more than
-    NORM_ATOL.
+    The columns are float64 when every gate matrix of c is real, complex
+    otherwise.  Raises ValidationError when a column's norm is off 1 by
+    more than NORM_ATOL.
     """
     n = c.n_qubits
     batch = len(basis_indices)
-    psi = np.zeros((2**n, batch), dtype=complex)
+    mats = {g: gate_matrix(g) for g in c.gates}
+    real = not any(np.any(m.imag) for m in mats.values())
+    plans = {}
+    for g, m in mats.items():
+        cycles = _slice_moves(m, g.qubits, n)
+        if cycles is None:
+            plans[g] = partial(_apply_matrix, m=m.real if real else m, qubits=g.qubits)
+        else:
+            plans[g] = partial(_apply_moves, cycles=cycles)
+    psi = np.zeros((2**n, batch), dtype=float if real else complex)
     psi[basis_indices, np.arange(batch)] = 1.0
     psi = psi.reshape((2,) * n + (batch,))
     for g in c.gates:
-        m = gate_matrix(g)
-        k = len(g.qubits)
-        moved = np.moveaxis(psi, g.qubits, range(k))
-        shape = moved.shape
-        moved = m @ moved.reshape(2**k, -1)
-        psi = np.moveaxis(moved.reshape(shape), range(k), g.qubits)
+        psi = plans[g](psi)
     out = psi.reshape(2**n, batch)
     norms = np.linalg.norm(out, axis=0)
     bad = np.flatnonzero(np.abs(norms - 1.0) > NORM_ATOL)
@@ -177,8 +245,10 @@ def check_realified(
         expected[1::2] = u[:, cols].imag
         # One norm per contiguous row sums each input's difference in the
         # same order whatever the chunk size, so deviations (and the argmax
-        # among near-equal ones) do not depend on BATCH_AMPLITUDES.
-        diff = np.ascontiguousarray((got - expected).T)
+        # among near-equal ones) do not depend on BATCH_AMPLITUDES.  The rows
+        # are complex even after a float64 pass, so the norm sums them the
+        # same way on both simulator routes.
+        diff = np.ascontiguousarray((got - expected).T, dtype=complex)
         deviations[cols] = [np.linalg.norm(row) for row in diff]
     worst = int(np.argmax(deviations))
     return _report("realified", deviations.tolist(), tol, worst)

@@ -36,6 +36,19 @@ def test_simulate_toffoli_flips_target(capsys, tmp_path):
     assert out[6] == "|110> 0 0"
 
 
+def test_simulate_prints_no_negative_zero(capsys, tmp_path):
+    f = write_circuit(tmp_path / "h2.json", Circuit(2, [Gate(GateKind.H, (0,))]))
+    assert main(["simulate", f, "--input", "00"]) == 0
+    r = format(1 / np.sqrt(2), ".17g")
+    assert capsys.readouterr().out == f"|00> {r} 0\n|01> 0 0\n|10> {r} 0\n|11> 0 0\n"
+    # S after H takes the complex route, whose matmul can leave -0.0 parts.
+    hs = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.S, (0,))])
+    f = write_circuit(tmp_path / "hs.json", hs)
+    assert main(["simulate", f, "--input", "00"]) == 0
+    out = capsys.readouterr().out
+    assert out == f"|00> {r} 0\n|01> 0 0\n|10> 0 {r}\n|11> 0 0\n"
+
+
 def test_simulate_rejects_bad_bitstring(capsys, h_file):
     assert main(["simulate", h_file, "--input", "01"]) == 2
     assert "1-bit string" in capsys.readouterr().err
@@ -106,6 +119,45 @@ def test_transpile_th_passes_ccx_through(capsys, tmp_path, kitaev_net_file):
     # The kitaev target has no CCX and still refuses it.
     assert main(["transpile", f, "--to", "kitaev", "--net", kitaev_net_file]) == 2
     assert "3-qubit gate" in capsys.readouterr().err
+
+
+def test_transpile_th_builds_no_net_for_exact_gates(capsys, monkeypatch, tmp_path):
+    from threbase import sk
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(sk, "build_net", refuse)
+    c = Circuit(3, [
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CNOT, (0, 2)),
+        Gate(GateKind.CZ, (2, 1)),
+        Gate(GateKind.CS, (1, 0)),
+    ])
+    f = write_circuit(tmp_path / "exact.json", c)
+    out_path = tmp_path / "exact_th.json"
+    assert main(["transpile", f, "--to", "th", "-o", str(out_path)]) == 0
+    assert "error_bound: 0\n" in capsys.readouterr().out
+    assert main(["verify", f, str(out_path), "--mode", "realified"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+
+
+def test_transpile_th_builds_the_net_for_x(capsys, monkeypatch, tmp_path):
+    from threbase import sk
+
+    built = []
+    real_build = sk.build_net
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(sk, "build_net", counting)
+    c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.X, (1,))])
+    f = write_circuit(tmp_path / "x.json", c)
+    assert main(["transpile", f, "--to", "th", "--eps", "2"]) == 0
+    capsys.readouterr()
+    assert len(built) == 1
 
 
 def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file):

@@ -11,9 +11,11 @@ from threbase import (
     check_measurement_stats,
     check_realified,
     circuit_unitary,
+    haar_unitary,
     realify_circuit,
     run,
 )
+from threbase.gates import ARITY, gate_matrix
 from threbase.errors import CapExceeded, ValidationError
 
 
@@ -261,3 +263,115 @@ def test_realified_checks_fail_fast_at_the_cap(check):
         check(small, realify_circuit(small)[0], max_qubits=3)
     two = Circuit(2, [Gate(GateKind.H, (0,))])
     assert check(two, realify_circuit(two)[0], max_qubits=3).passed
+
+
+# --- the simulator's routes against the complex moveaxis loop --------------
+
+
+def reference_simulate(c, inputs):
+    """Every gate as a complex moveaxis-and-matmul update: the reference."""
+    n = c.n_qubits
+    batch = len(inputs)
+    psi = np.zeros((2**n, batch), dtype=complex)
+    psi[inputs, np.arange(batch)] = 1.0
+    psi = psi.reshape((2,) * n + (batch,))
+    for g in c.gates:
+        m = gate_matrix(g)
+        k = len(g.qubits)
+        moved = np.moveaxis(psi, g.qubits, range(k))
+        shape = moved.shape
+        moved = m @ moved.reshape(2**k, -1)
+        psi = np.moveaxis(moved.reshape(shape), range(k), g.qubits)
+    return psi.reshape(2**n, batch)
+
+
+def assert_matches_reference(c, inputs, dtype):
+    from threbase.verify import _simulate
+
+    want = reference_simulate(c, inputs)
+    got = _simulate(c, inputs)
+    assert got.dtype == dtype
+    assert np.max(np.abs(got - want)) <= 1e-15
+    for j in (0, len(inputs) - 1):
+        one = _simulate(c, inputs[j : j + 1])
+        assert np.max(np.abs(one[:, 0] - want[:, j])) <= 1e-15
+
+
+def test_real_route_matches_complex_loop_on_realified_pairs(corpus):
+    planted = 0
+    for c, real in realified_pairs(corpus):
+        inputs = 2 * np.arange(2**c.n_qubits)
+        assert_matches_reference(real, inputs, np.float64)
+        u = circuit_unitary(c)
+        want = reference_simulate(real, inputs)
+        expected = np.zeros(want.shape, dtype=complex)
+        expected[0::2] = u.real
+        expected[1::2] = u.imag
+        want_dev = [float(np.linalg.norm(col)) for col in (want - expected).T]
+        rep = check_realified(c, real)
+        assert np.max(np.abs(np.subtract(rep.deviations, want_dev))) <= 1e-15
+        assert rep.worst_input == int(np.argmax(want_dev))
+        planted += not rep.passed
+    assert planted > 0
+
+
+def random_matrix(k, rng, real):
+    """A GENERIC matrix on k qubits: a permutation, a signed or phased
+    permutation, or a dense orthogonal or unitary one."""
+    dim = 2**k
+    perm = np.eye(dim)[:, rng.permutation(dim)]
+    forms = ["perm", "signed", "orthogonal"] + ([] if real else ["phased", "haar"])
+    form = forms[int(rng.integers(len(forms)))]
+    if form == "perm":
+        return perm
+    if form == "signed":
+        return perm * np.where(np.arange(dim) == 0, -1.0, rng.choice([-1.0, 1.0], dim))
+    if form == "orthogonal":
+        return np.linalg.qr(rng.normal(size=(dim, dim)))[0]
+    if form == "phased":
+        return perm * np.exp(1j * rng.uniform(0, 2 * np.pi, dim))
+    return haar_unitary(dim, rng)
+
+
+REAL_KINDS = [GateKind.H, GateKind.X, GateKind.Z, GateKind.CZ, GateKind.CNOT,
+              GateKind.CCX, GateKind.GENERIC]
+
+
+def random_mixed(n, gates, rng, real):
+    kinds = REAL_KINDS if real else list(GateKind)
+    out = []
+    for _ in range(gates):
+        kind = kinds[int(rng.integers(len(kinds)))]
+        if kind is GateKind.GENERIC:
+            k = int(rng.integers(1, 4))
+            qubits = rng.choice(n, size=k, replace=False)
+            out.append(Gate(kind, tuple(qubits), random_matrix(k, rng, real)))
+        else:
+            qubits = rng.choice(n, size=ARITY[kind], replace=False)
+            out.append(Gate(kind, tuple(qubits)))
+    return Circuit(n, out)
+
+
+@pytest.mark.parametrize("real", [True, False])
+def test_routes_match_complex_loop_on_mixed_circuits(real):
+    rng = np.random.default_rng(11 if real else 12)
+    kinds = set()
+    for _ in range(40):
+        c = random_mixed(int(rng.integers(3, 6)), 30, rng, real)
+        kinds |= {g.kind for g in c.gates}
+        if not real and all(not np.any(gate_matrix(g).imag) for g in c.gates):
+            continue
+        assert_matches_reference(c, np.arange(2**c.n_qubits), np.float64 if real else complex)
+    assert kinds == (set(REAL_KINDS) if real else set(GateKind))
+
+
+@pytest.mark.parametrize("odd", [
+    Gate(GateKind.CS, (0, 2)),
+    Gate(GateKind.GENERIC, (1,), np.diag([1, np.exp(1e-9j)])),
+    Gate(GateKind.GENERIC, (2, 0), np.eye(4)[:, [1, 0, 3, 2]] * [1, 1j, 1, 1]),
+])
+def test_one_complex_gate_keeps_the_complex_route(odd):
+    real_part = [Gate(GateKind.H, (0,)), Gate(GateKind.CCX, (0, 1, 2)),
+                 Gate(GateKind.H, (1,)), Gate(GateKind.CNOT, (1, 2))]
+    c = Circuit(3, real_part[:2] + [odd] + real_part[2:])
+    assert_matches_reference(c, np.arange(8), complex)
