@@ -6,6 +6,13 @@ so repeated invocations are byte-identical.  Exit codes: 0 success or
 check passed, 1 check failed or accuracy budget not met, 2 usage or
 validation error, 3 entry/qubit cap exceeded.
 
+transpile is one pipeline: --to kitaev rewrites over {H, CS}; --to th
+does the same rewrite, keeping CCX, then realifies onto {H, CCX} with one
+flag qubit.  A th input already over {H, CCX} passes through unchanged.
+The two-qubit kitaev net (built at length 8, or read from --net) is only
+made when some gate has no exact rewrite, so a --net file is read, and a
+bad one reported, only then.
+
 TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
 12).  verify --mode realified and --mode stats apply it to the realified
 circuit, so the largest original they accept is one qubit under the cap.
@@ -28,7 +35,6 @@ from .linalg import haar_unitary
 from .passes import (
     REALIFY_ALPHABET,
     TARGET_ALPHABET,
-    TranspileReport,
     needs_net,
     realify_circuit,
     rebase_circuit,
@@ -92,38 +98,28 @@ def _report_lines(pairs) -> str:
 # --- transpile ------------------------------------------------------------
 
 def cmd_transpile(args) -> int:
+    if not args.eps > 0:
+        raise ValidationError(f"eps must be positive, got {args.eps}")
     c = tio.parse_circuit(_read(args.input))
-    kinds = {g.kind for g in c.gates}
-
-    if args.to == "kitaev":
-        out, report = rebase_circuit(c, _kitaev_net(args), args.eps)
-    elif kinds <= set(TARGET_ALPHABET):
-        out = c
-        report = TranspileReport(len(c), len(c), c.n_qubits, c.n_qubits, 0.0)
+    th = args.to == "th"
+    if th and {g.kind for g in c.gates} <= set(TARGET_ALPHABET):
+        out, error_bound = c, 0.0
     else:
-        rebase_err = 0.0
-        input_gates = len(c)
-        if not kinds <= set(REALIFY_ALPHABET):
-            net = _kitaev_net(args) if needs_net(c, REALIFY_ALPHABET) else None
-            c, rebase_report = rebase_circuit(c, net, args.eps, keep=REALIFY_ALPHABET)
-            rebase_err = rebase_report.error_bound
-        out, report = realify_circuit(c)
-        report = TranspileReport(
-            input_gates,
-            report.output_gates,
-            report.input_qubits,
-            report.output_qubits,
-            rebase_err,
-        )
+        keep = REALIFY_ALPHABET if th else ()
+        net = _kitaev_net(args) if needs_net(c, keep) else None
+        out, rebase_report = rebase_circuit(c, net, args.eps, keep)
+        error_bound = rebase_report.error_bound
+        if th:
+            out, _ = realify_circuit(out)
 
     text = tio.emit_circuit(out)
     lines = _report_lines(
         [
-            ("input_gates", report.input_gates),
-            ("output_gates", report.output_gates),
-            ("input_qubits", report.input_qubits),
-            ("output_qubits", report.output_qubits),
-            ("error_bound", format(report.error_bound, ".17g")),
+            ("input_gates", len(c)),
+            ("output_gates", len(out)),
+            ("input_qubits", c.n_qubits),
+            ("output_qubits", out.n_qubits),
+            ("error_bound", format(error_bound, ".17g")),
         ]
     )
     if args.output is None:

@@ -194,7 +194,7 @@ def parse_net(text: str, gateset: GateSet | None = None) -> Net:
     tol = doc.get("dedupe_tol")
     if not isinstance(max_len, int) or max_len < 0:
         raise ValidationError(f"bad max_len {max_len!r}")
-    if not isinstance(tol, (int, float)) or tol <= 0:
+    if not isinstance(tol, (int, float)) or not tol > 0:
         raise ValidationError(f"bad dedupe_tol {tol!r}")
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:

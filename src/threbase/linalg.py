@@ -21,6 +21,9 @@ ATOL = 1e-10
 # validated at ATOL; tight enough that the eigenphase formula, which says
 # nothing about the norm of a non-unitary matrix, is never applied to one.
 UNITARY_TOL = 1e-6
+# Smallest 2x2 distance taken from the closed form, here and in the batched
+# nearest-entry search of `sk`; nearer pairs go through the eigenphases.
+CLOSED_FORM_MIN = 1e-5
 
 
 def as_matrix(a) -> np.ndarray:
@@ -73,12 +76,9 @@ def dist(a, b) -> float:
         # (the value lives in a cancellation of tr against 2*sqrt(det)), so
         # only trust it away from zero; the eigenphases stay accurate to
         # ~1e-16 absolutely.
-        if fast >= _CLOSED_FORM_MIN:
+        if fast >= CLOSED_FORM_MIN:
             return fast
     return float(phase_dist(a.conj().T @ b))
-
-
-_CLOSED_FORM_MIN = 1e-5
 
 
 def _dist_2x2_unitary(a: np.ndarray, b: np.ndarray) -> float:

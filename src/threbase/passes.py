@@ -157,7 +157,7 @@ def rebase_circuit(
     split uniformly over the gates that need approximation; error_bound is
     the sum of achieved distances.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
     plans: list[list[Gate] | Gate] = []
     pending = 0

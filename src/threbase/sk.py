@@ -29,9 +29,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapExceeded, CompileError, ValidationError
+from .errors import BudgetNotMet, CapExceeded, CompileError, ValidationError
 from .gates import GateSet
-from .linalg import UNITARY_TOL, as_matrix, dist, is_unitary, phase_dist
+from .linalg import CLOSED_FORM_MIN, UNITARY_TOL, as_matrix, dist, is_unitary, phase_dist
 
 DEFAULT_DEDUPE_TOL = 1e-4
 DEFAULT_EPS = 1e-2
@@ -102,7 +102,7 @@ def build_net(
     """
     if max_length < 0:
         raise ValidationError(f"max_length must be >= 0, got {max_length}")
-    if dedupe_tol <= 0:
+    if not dedupe_tol > 0:
         raise ValidationError(f"dedupe_tol must be positive, got {dedupe_tol}")
     dim, labels = gateset.dim, gateset.labels
     gens = np.array([gateset.matrix(lab) for lab in labels], dtype=complex)
@@ -245,7 +245,7 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
         ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
         best = min(ties, key=lambda i: (net.entries[i].length, net.entries[i].seq))
         entry = net.entries[best]
-        if dists[best] < 1e-5:
+        if dists[best] < CLOSED_FORM_MIN:
             # Near-exact hits sit in the closed form's cancellation regime;
             # report the achieved distance at full absolute accuracy.
             return entry, dist(entry.matrix, u)
@@ -391,7 +391,7 @@ class SKConfig:
     depth: int = 3
 
     def __post_init__(self):
-        if self.eps <= 0:
+        if not self.eps > 0:
             raise ValidationError(f"eps must be positive, got {self.eps}")
         if self.depth < 0:
             raise ValidationError(f"depth must be >= 0, got {self.depth}")
@@ -456,8 +456,6 @@ def sk_trace(u, cfg: SKConfig) -> list[tuple[tuple[str, ...], float]]:
 
 def sk_approx(u, cfg: SKConfig) -> tuple[tuple[str, ...], float]:
     """Label sequence approximating u within cfg.eps, or BudgetNotMet."""
-    from .errors import BudgetNotMet
-
     seq, achieved = sk_trace(u, cfg)[-1]
     if achieved > cfg.eps:
         raise BudgetNotMet(

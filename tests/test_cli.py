@@ -121,13 +121,16 @@ def test_transpile_th_passes_ccx_through(capsys, tmp_path, kitaev_net_file):
     assert "3-qubit gate" in capsys.readouterr().err
 
 
-def test_transpile_th_builds_no_net_for_exact_gates(capsys, monkeypatch, tmp_path):
-    from threbase import sk
+@pytest.mark.parametrize("to, mode", [("th", "realified"), ("kitaev", "exact")],
+                         ids=["th", "kitaev"])
+def test_transpile_builds_no_net_for_exact_gates(capsys, monkeypatch, tmp_path, to, mode):
+    from threbase import io, sk
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the net was built")
+        raise AssertionError("the net was built or read")
 
     monkeypatch.setattr(sk, "build_net", refuse)
+    monkeypatch.setattr(io, "parse_net", refuse)
     c = Circuit(3, [
         Gate(GateKind.H, (0,)),
         Gate(GateKind.CNOT, (0, 2)),
@@ -135,14 +138,19 @@ def test_transpile_th_builds_no_net_for_exact_gates(capsys, monkeypatch, tmp_pat
         Gate(GateKind.CS, (1, 0)),
     ])
     f = write_circuit(tmp_path / "exact.json", c)
-    out_path = tmp_path / "exact_th.json"
-    assert main(["transpile", f, "--to", "th", "-o", str(out_path)]) == 0
+    out_path = tmp_path / f"exact_{to}.json"
+    assert main(["transpile", f, "--to", to, "-o", str(out_path)]) == 0
     assert "error_bound: 0\n" in capsys.readouterr().out
-    assert main(["verify", f, str(out_path), "--mode", "realified"]) == 0
+    assert main(["verify", f, str(out_path), "--mode", mode]) == 0
     assert "passed: yes\n" in capsys.readouterr().out
+    # A --net file is not even opened when no gate needs the net.
+    missing = str(tmp_path / "missing.json")
+    assert main(["transpile", f, "--to", to, "--net", missing]) == 0
+    capsys.readouterr()
 
 
-def test_transpile_th_builds_the_net_for_x(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("to", ["th", "kitaev"])
+def test_transpile_builds_the_net_for_x(capsys, monkeypatch, tmp_path, to):
     from threbase import sk
 
     built = []
@@ -155,9 +163,23 @@ def test_transpile_th_builds_the_net_for_x(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(sk, "build_net", counting)
     c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.X, (1,))])
     f = write_circuit(tmp_path / "x.json", c)
-    assert main(["transpile", f, "--to", "th", "--eps", "2"]) == 0
+    assert main(["transpile", f, "--to", to, "--eps", "2"]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("eps", ["0", "-1", "nan"])
+@pytest.mark.parametrize("to, kinds", [
+    pytest.param("th", (GateKind.H, GateKind.CCX), id="th-passthrough"),
+    pytest.param("th", (GateKind.H, GateKind.CS), id="th-realify"),
+    pytest.param("kitaev", (GateKind.H, GateKind.CS), id="kitaev"),
+])
+def test_transpile_checks_eps_on_every_route(capsys, tmp_path, to, kinds, eps):
+    arity = {GateKind.H: 1, GateKind.CS: 2, GateKind.CCX: 3}
+    c = Circuit(3, [Gate(k, tuple(range(arity[k]))) for k in kinds])
+    f = write_circuit(tmp_path / "c.json", c)
+    assert main(["transpile", f, "--to", to, "--eps", eps]) == 2
+    assert "eps must be positive" in capsys.readouterr().err
 
 
 def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file):
@@ -174,11 +196,13 @@ def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file
     assert "error:" in err and "best_achieved:" in err
 
 
-def test_transpile_net_must_be_two_qubit(capsys, tmp_path, kitaev_file):
+def test_transpile_net_must_be_two_qubit(capsys, tmp_path):
     ht = tmp_path / "ht.json"
     assert main(["net", "build", "--set", "ht", "--max-len", "3", "-o", str(ht)]) == 0
     capsys.readouterr()
-    code = main(["transpile", kitaev_file, "--to", "kitaev", "--net", str(ht)])
+    # X has no exact rewrite, so the net is read and its gate set checked.
+    f = write_circuit(tmp_path / "x.json", Circuit(2, [Gate(GateKind.X, (1,))]))
+    code = main(["transpile", f, "--to", "kitaev", "--net", str(ht)])
     assert code == 2
     assert "1-qubit gate set" in capsys.readouterr().err
 

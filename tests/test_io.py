@@ -153,6 +153,9 @@ def test_net_entry_validation():
         parse_net(broken(max_len=-1))
     with pytest.raises(ValidationError, match="bad dedupe_tol"):
         parse_net(broken(dedupe_tol=0))
+    # json.loads reads a bare NaN, which no comparison with 0 rejects.
+    with pytest.raises(ValidationError, match="bad dedupe_tol"):
+        parse_net(broken(dedupe_tol=float("nan")))
     with pytest.raises(ValidationError, match="non-empty list"):
         parse_net(broken(entries=[]))
 

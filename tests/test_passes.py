@@ -170,6 +170,13 @@ def test_rebase_circuit_budget_failure_carries_best(kitaev8):
     assert e.value.achieved > 1e-9
 
 
+def test_rebase_circuit_rejects_bad_eps(kitaev8):
+    c = Circuit(2, [Gate(GateKind.X, (0,))])
+    for eps in (0.0, -1.0, float("nan")):
+        with pytest.raises(ValidationError, match="eps must be positive"):
+            rebase_circuit(c, kitaev8, eps=eps)
+
+
 def test_rebase_rejects_three_qubit_gates(kitaev8):
     c = Circuit(3, [Gate(GateKind.CCX, (0, 1, 2))])
     with pytest.raises(ValidationError):

@@ -207,6 +207,14 @@ def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
         assert got.seq == e.seq
 
 
+def test_build_net_validates_arguments():
+    with pytest.raises(ValidationError, match="max_length"):
+        build_net(demo_1q_gate_set(), -1)
+    for tol in (0.0, -1e-4, float("nan")):
+        with pytest.raises(ValidationError, match="dedupe_tol must be positive"):
+            build_net(demo_1q_gate_set(), 4, dedupe_tol=tol)
+
+
 def test_nearest_rejects_non_unitary_target(kitaev8):
     with pytest.raises(ValidationError):
         nearest(kitaev8, 2 * np.eye(4))
@@ -301,8 +309,9 @@ def test_commutator_preconditions():
 # --- recursion ------------------------------------------------------------
 
 def test_config_validation(demo12):
-    with pytest.raises(ValidationError):
-        SKConfig(net=demo12, eps=0.0)
+    for eps in (0.0, float("nan")):
+        with pytest.raises(ValidationError):
+            SKConfig(net=demo12, eps=eps)
     with pytest.raises(ValidationError):
         SKConfig(net=demo12, depth=-1)
 
