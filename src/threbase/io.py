@@ -23,6 +23,7 @@ Every memo lives for one call only; nothing is kept between calls.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -60,6 +61,11 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
     if dim * dim != len(flat):
         raise ValidationError(f"{where}: matrix has {len(flat)} entries, not a square")
     return np.array(flat, dtype=complex).reshape(dim, dim)
+
+
+def _is_int(x) -> bool:
+    """A JSON integer: bool is an int subclass, but `true` is not a count."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _load_json(text: str, what: str) -> dict:
@@ -132,7 +138,7 @@ def _parse_gate(raw, where: str) -> Gate:
 def parse_circuit(text: str) -> Circuit:
     doc = _load_json(text, "circuit file")
     qubits = doc.get("qubits")
-    if not isinstance(qubits, int) or qubits < 1:
+    if not _is_int(qubits) or qubits < 1:
         raise ValidationError(f"qubits must be a positive integer, got {qubits!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
@@ -192,9 +198,11 @@ def parse_net(text: str, gateset: GateSet | None = None) -> Net:
         )
     max_len = doc.get("max_len")
     tol = doc.get("dedupe_tol")
-    if not isinstance(max_len, int) or max_len < 0:
+    if not _is_int(max_len) or max_len < 0:
         raise ValidationError(f"bad max_len {max_len!r}")
-    if not isinstance(tol, (int, float)) or not tol > 0:
+    # json.loads reads bare NaN and Infinity, which emit_net cannot write
+    # back as JSON; no comparison holds for NaN.
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
         raise ValidationError(f"bad dedupe_tol {tol!r}")
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:

@@ -25,6 +25,7 @@ gets the depth-0 net lookup with an honestly reported distance.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,8 +103,8 @@ def build_net(
     """
     if max_length < 0:
         raise ValidationError(f"max_length must be >= 0, got {max_length}")
-    if not dedupe_tol > 0:
-        raise ValidationError(f"dedupe_tol must be positive, got {dedupe_tol}")
+    if not 0 < dedupe_tol < math.inf:
+        raise ValidationError(f"dedupe_tol must be positive and finite, got {dedupe_tol}")
     dim, labels = gateset.dim, gateset.labels
     gens = np.array([gateset.matrix(lab) for lab in labels], dtype=complex)
     gens = gens.reshape(len(labels), dim, dim)

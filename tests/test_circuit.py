@@ -143,23 +143,68 @@ def test_column_blocks_match_unblocked_product(corpus, monkeypatch):
         monkeypatch.undo()
 
 
+def runs_circuit(rng, n, operands, runs):
+    """Runs of 1 to 5 gates on one operand tuple, a new tuple for each run."""
+    from threbase import haar_unitary
+
+    named = {1: (GateKind.H, GateKind.S), 2: (GateKind.CNOT,), 3: (GateKind.CCX,)}
+    gates, last = [], None
+    for _ in range(runs):
+        qs = last
+        while qs == last:
+            qs = operands[int(rng.integers(len(operands)))]
+        last = qs
+        for _ in range(int(rng.integers(1, 6))):
+            kinds = named[len(qs)] if rng.random() < 0.5 else (GateKind.GENERIC,)
+            kind = kinds[int(rng.integers(len(kinds)))]
+            m = haar_unitary(2 ** len(qs), rng) if kind is GateKind.GENERIC else None
+            gates.append(Gate(kind, qs, m))
+    return Circuit(n, gates)
+
+
+def test_runs_match_per_gate_product_bitwise(monkeypatch):
+    from threbase import circuit, demo_1q_gate_set
+
+    rng = np.random.default_rng(5)
+    ht = demo_1q_gate_set()
+    word = Circuit(1, [ht.gate(lab) for lab in rng.choice(ht.labels, 1200)])
+    # (0, 1) and (1, 0) share a frozenset but not a row table; so do the
+    # two 3-qubit orders.  Adjacent runs may share a kind.
+    mixed = runs_circuit(rng, 3, [(0, 1), (1, 0), (2,), (0, 1, 2), (2, 0, 1)], 40)
+    for c in (word, mixed):
+        assert circuit_unitary(c).tobytes() == unblocked_product(c).tobytes()
+    wide = runs_circuit(rng, 9, [(0,), (8,), (3, 5), (5, 3), (7, 1, 4), (2, 6)], 16)
+    want = unblocked_product(wide).tobytes()
+    # Four columns per block: every run is applied to 128 blocks.
+    monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**9)
+    assert circuit_unitary(wide).tobytes() == want
+
+
 def test_circuit_unitary_peak_memory_is_bounded():
     import tracemalloc
+
+    from threbase import haar_unitary
 
     n = 10
     rng = np.random.default_rng(4)
     gates = [Gate(GateKind.H, (q,)) for q in range(n)]
     gates += [Gate(GateKind.CCX, tuple(int(q) for q in rng.choice(n, 3, replace=False)))
               for _ in range(4)]
-    c = Circuit(n, gates)
+    # Runs of three gates on one pair: a run holds no block beyond the two
+    # a single gate does.
+    runs = []
+    for _ in range(4):
+        qs = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        runs += [Gate(GateKind.GENERIC, qs, haar_unitary(4, rng)) for _ in range(3)]
     size = 16 * 4**n
-    tracemalloc.start()
-    try:
-        u = circuit_unitary(c)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert u.nbytes == size
-    # The result plus two column blocks; whole-matrix temporaries would
-    # take it to three times the unitary.
-    assert peak < 1.5 * size
+    for c in (Circuit(n, gates), Circuit(n, runs)):
+        tracemalloc.start()
+        try:
+            u = circuit_unitary(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert u.nbytes == size
+        # The result plus two column blocks; whole-matrix temporaries would
+        # take it to three times the unitary.
+        assert peak < 1.5 * size

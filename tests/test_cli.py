@@ -207,6 +207,16 @@ def test_transpile_net_must_be_two_qubit(capsys, tmp_path):
     assert "1-qubit gate set" in capsys.readouterr().err
 
 
+def test_transpile_refuses_boolean_qubit_count(capsys, tmp_path):
+    # The output would say "qubits":True, which verify cannot read.
+    src = tmp_path / "bool.json"
+    src.write_text('{"version":1,"qubits":true,"gates":[{"name":"H","qubits":[0]}]}')
+    out = tmp_path / "out.json"
+    assert main(["transpile", str(src), "--to", "th", "-o", str(out)]) == 2
+    assert "qubits must be a positive integer, got True" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_modes_and_exit_codes(capsys, tmp_path, kitaev_file):
     out_path = tmp_path / "real.json"
     main(["transpile", kitaev_file, "--to", "th", "-o", str(out_path)])
@@ -247,6 +257,15 @@ def test_net_build_stdout_parses(capsys):
 
     net = parse_net(capsys.readouterr().out)
     assert net.max_length == 2
+
+
+def test_net_build_refuses_infinite_dedupe(capsys, tmp_path):
+    # The cache would hold "dedupe_tol":inf, which is not JSON.
+    path = tmp_path / "k1.json"
+    argv = ["net", "build", "--set", "kitaev", "--max-len", "1", "--dedupe", "inf"]
+    assert main(argv + ["-o", str(path)]) == 2
+    assert "dedupe_tol must be positive" in capsys.readouterr().err
+    assert not path.exists()
 
 
 def test_net_build_unknown_set(capsys):

@@ -71,6 +71,9 @@ def test_circuit_version_and_shape_errors():
         parse_circuit("[1,2]")
     with pytest.raises(ValidationError, match="positive integer"):
         parse_circuit('{"version":1,"qubits":0,"gates":[]}')
+    # bool is an int subclass; emit_circuit would write it back as True.
+    with pytest.raises(ValidationError, match="positive integer, got True"):
+        parse_circuit('{"version":1,"qubits":true,"gates":[]}')
     with pytest.raises(ValidationError, match="gates must be a list"):
         parse_circuit('{"version":1,"qubits":1,"gates":{}}')
 
@@ -151,11 +154,17 @@ def test_net_entry_validation():
 
     with pytest.raises(ValidationError, match="bad max_len"):
         parse_net(broken(max_len=-1))
+    with pytest.raises(ValidationError, match="bad max_len True"):
+        parse_net(broken(max_len=True))
     with pytest.raises(ValidationError, match="bad dedupe_tol"):
         parse_net(broken(dedupe_tol=0))
-    # json.loads reads a bare NaN, which no comparison with 0 rejects.
-    with pytest.raises(ValidationError, match="bad dedupe_tol"):
+    with pytest.raises(ValidationError, match="bad dedupe_tol True"):
+        parse_net(broken(dedupe_tol=True))
+    # json.loads reads bare NaN and Infinity; emit_net cannot write either.
+    with pytest.raises(ValidationError, match="bad dedupe_tol nan"):
         parse_net(broken(dedupe_tol=float("nan")))
+    with pytest.raises(ValidationError, match="bad dedupe_tol inf"):
+        parse_net(broken(dedupe_tol=float("inf")))
     with pytest.raises(ValidationError, match="non-empty list"):
         parse_net(broken(entries=[]))
 

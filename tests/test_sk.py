@@ -210,7 +210,7 @@ def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
 def test_build_net_validates_arguments():
     with pytest.raises(ValidationError, match="max_length"):
         build_net(demo_1q_gate_set(), -1)
-    for tol in (0.0, -1e-4, float("nan")):
+    for tol in (0.0, -1e-4, float("nan"), float("inf")):
         with pytest.raises(ValidationError, match="dedupe_tol must be positive"):
             build_net(demo_1q_gate_set(), 4, dedupe_tol=tol)
 
