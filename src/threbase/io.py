@@ -2,27 +2,31 @@
 
 Both formats are versioned and canonical: fixed field order, compact
 separators, floats printed with %.17g so a document re-emitted from a
-parse is byte-identical.  Circuit files carry gates by name with an
-optional row-major matrix (as [re, im] pairs) for generic gates.  Net
-caches store label sequences together with their matrices, plus a
+parse is byte-identical.  Circuit files (version 1) carry gates by name
+with an optional row-major matrix (as [re, im] pairs) for generic gates.
+Net caches (version 2) store only label sequences, shortest-first, plus a
 fingerprint of the generating set so a stale cache cannot be reused
-against different generators.
+against different generators.  A net's sequences are prefix-closed, so
+parse_net checks that structure and rebuilds every matrix with
+sk.net_from_sequences, bit for bit as build_net formed it; a version-1
+cache, which stored matrices, is refused.
 
 Documents are long lists of a few distinct gates, so the work scales with
 the distinct gates rather than the total:
   - parse_circuit interns gates within one document: a gate whose raw JSON
-    value equals that of an earlier gate that validated reuses its Gate
-    (frozen, read-only matrix) instead of being validated again;
+    value marshals to the same bytes as that of an earlier gate that
+    validated reuses its Gate (frozen, read-only matrix) instead of being
+    validated again;
   - emit_circuit formats each distinct Gate once per call;
-  - parse_net converts every entry's matrix in one numpy call, and falls
-    back to the per-entry reader, which names the first bad entry, only
-    when that conversion is not a well-formed (entries, d*d, 2) array.
+  - parse_net makes a few C-level tests per entry and leaves naming the
+    first bad entry to a helper that runs only on failure.
 Every memo lives for one call only; nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import json
+import marshal
 import math
 
 import numpy as np
@@ -30,9 +34,10 @@ import numpy as np
 from .circuit import Circuit
 from .errors import ValidationError
 from .gates import BUILTIN_GATE_SETS, Gate, GateKind, GateSet
-from .sk import Net, NetEntry
+from .sk import Net, net_from_sequences
 
 FORMAT_VERSION = 1
+NET_FORMAT_VERSION = 2
 
 
 def _fmt(x: float) -> str:
@@ -68,7 +73,7 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _load_json(text: str, what: str) -> dict:
+def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
@@ -77,9 +82,9 @@ def _load_json(text: str, what: str) -> dict:
         ) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object")
-    if doc.get("version") != FORMAT_VERSION:
+    if doc.get("version") != version:
         raise ValidationError(
-            f"unsupported {what} version {doc.get('version')!r}, expected {FORMAT_VERSION}"
+            f"unsupported {what} version {doc.get('version')!r}, expected {version}{remedy}"
         )
     return doc
 
@@ -136,22 +141,24 @@ def _parse_gate(raw, where: str) -> Gate:
 
 
 def parse_circuit(text: str) -> Circuit:
-    doc = _load_json(text, "circuit file")
+    doc = _load_json(text, "circuit file", FORMAT_VERSION)
     qubits = doc.get("qubits")
     if not _is_int(qubits) or qubits < 1:
         raise ValidationError(f"qubits must be a positive integer, got {qubits!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise ValidationError("gates must be a list")
-    # repr tells apart any two JSON values that validation or the built
-    # matrix would (1 from 1.0 and True, 0.0 from -0.0, "1" from 1), so a
-    # gate whose repr matches an earlier one builds an equal Gate.  Only
+    # marshal writes a type code for every value and the bits of every
+    # float, so it tells apart any two JSON values that validation or the
+    # built matrix would (1 from 1.0 and True, 0.0 from -0.0, "1" from 1),
+    # and a gate whose bytes match an earlier one builds an equal Gate.
+    # Equal values that marshal differently only miss the memo.  Only
     # validated gates enter the memo, so the first bad gate still raises
     # with its own index.
-    interned: dict[str, Gate] = {}
+    interned: dict[bytes, Gate] = {}
     gates = []
     for i, raw in enumerate(raw_gates):
-        key = repr(raw)
+        key = marshal.dumps(raw)
         gate = interned.get(key)
         if gate is None:
             gate = interned[key] = _parse_gate(raw, f"gates[{i}]")
@@ -166,7 +173,7 @@ def parse_circuit(text: str) -> Circuit:
 
 def emit_net(net: Net) -> str:
     head = (
-        f'{{"version":{FORMAT_VERSION},'
+        f'{{"version":{NET_FORMAT_VERSION},'
         f'"gateset":"{net.gateset.name}",'
         f'"fingerprint":"{net.gateset.fingerprint()}",'
         f'"max_len":{net.max_length},'
@@ -176,12 +183,14 @@ def emit_net(net: Net) -> str:
     rows = []
     for e in net.entries:
         seq = ",".join(f'"{label}"' for label in e.seq)
-        rows.append(f'{{"seq":[{seq}],"matrix":{_fmt_matrix(e.matrix)}}}')
+        rows.append(f'{{"seq":[{seq}]}}')
     return head + ",".join(rows) + "]}\n"
 
 
 def parse_net(text: str, gateset: GateSet | None = None) -> Net:
-    doc = _load_json(text, "net cache")
+    doc = _load_json(
+        text, "net cache", NET_FORMAT_VERSION, "; rebuild it with `threbase net build`"
+    )
     name = doc.get("gateset")
     if gateset is None:
         factory = BUILTIN_GATE_SETS.get(name)
@@ -207,62 +216,66 @@ def parse_net(text: str, gateset: GateSet | None = None) -> Net:
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:
         raise ValidationError("entries must be a non-empty list")
-    dim = gateset.dim
-    labels = gateset.labels
-    matrices = _bulk_matrices(raw_entries, dim)
-    entries = []
-    for i, raw in enumerate(raw_entries):
-        where = f"entries[{i}]"
-        if not isinstance(raw, dict):
-            raise ValidationError(f"{where}: expected an object")
-        seq = raw.get("seq")
-        if not isinstance(seq, list) or not all(isinstance(s, str) for s in seq):
-            raise ValidationError(f"{where}: seq must be a list of labels")
-        bad = [s for s in seq if s not in labels]
-        if bad:
-            raise ValidationError(f"{where}: unknown label {bad[0]!r}")
-        if len(seq) > max_len:
-            raise ValidationError(f"{where}: sequence longer than max_len")
-        if matrices is not None:
-            m = matrices[i]
-        else:
-            m = _parse_matrix(raw.get("matrix"), where)
-            if m.shape != (dim, dim):
-                raise ValidationError(
-                    f"{where}: matrix is {m.shape[0]}x{m.shape[1]}, net dimension is {dim}"
-                )
-        entries.append(NetEntry(tuple(seq), m))
-    net = Net(gateset, max_len, float(tol), entries)
-    _spot_check(net)
-    return net
-
-
-def _bulk_matrices(raw_entries: list, dim: int) -> np.ndarray | None:
-    """Every entry's matrix from one numpy call, or None if any is malformed.
-
-    A numeric (entries, dim*dim, 2) array means every entry holds dim*dim
-    [re, im] pairs of numbers, exactly what the per-entry reader accepts;
-    strings, nulls, non-objects and ragged or wrong-sized matrices all fail
-    here and are left to that reader to name.  Viewing the float pairs as
-    complex gives the same bits as complex(re, im).
-    """
+    label_ids = {label: g for g, label in enumerate(gateset.labels)}
+    if raw_entries[0] != {"seq": []}:
+        raise _entry_error(raw_entries, 0, {}, label_ids, max_len)
+    # Each entry costs a few C-level tests.  An entry's sequence minus its
+    # last label must already be in `known`, which holds only entries that
+    # passed, so checking the last label checks them all.  Any failure,
+    # including a TypeError from hashing a non-label, goes to _entry_error,
+    # which finds and names what is wrong.
+    known = {(): 0}
+    seqs, parents, lasts = [()], [0], [0]
+    length = 1  # an empty sequence after entries[0] repeats it
+    i = 0
     try:
-        a = np.array([raw["matrix"] for raw in raw_entries])
-    except (TypeError, KeyError, ValueError):
-        return None
-    if a.dtype.kind not in "biuf" or a.shape != (len(raw_entries), dim * dim, 2):
-        return None
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    return a.view(np.complex128).reshape(len(raw_entries), dim, dim)
+        for i in range(1, len(raw_entries)):
+            raw = raw_entries[i]
+            seq = raw.get("seq") if type(raw) is dict and len(raw) == 1 else None
+            if type(seq) is list and length <= len(seq) <= max_len:
+                key = tuple(seq)
+                parent = known.get(key[:-1])
+                last = label_ids.get(key[-1])
+                if parent is not None and last is not None and known.setdefault(key, i) == i:
+                    seqs.append(key)
+                    parents.append(parent)
+                    lasts.append(last)
+                    length = len(key)
+                    continue
+            raise _entry_error(raw_entries, i, known, label_ids, max_len)
+    except TypeError:
+        raise _entry_error(raw_entries, i, known, label_ids, max_len) from None
+    return net_from_sequences(gateset, max_len, float(tol), seqs, parents, lasts)
 
 
-def _spot_check(net: Net, samples: int = 16, tol: float = 1e-10):
-    # Full re-evaluation of every entry is a test-suite job; loading only
-    # guards against a corrupted or hand-edited cache.
-    n = len(net.entries)
-    for i in sorted({0, n - 1, *range(0, n, max(1, n // samples))}):
-        e = net.entries[i]
-        if np.max(np.abs(net.gateset.evaluate(e.seq) - e.matrix)) > tol:
-            raise ValidationError(
-                f"entries[{i}]: stored matrix does not match its sequence"
-            )
+def _entry_error(
+    raw_entries: list, i: int, known: dict, label_ids: dict, max_len: int
+) -> ValidationError:
+    """What is wrong with entries[i], given that every earlier entry passed."""
+    where = f"entries[{i}]"
+    raw = raw_entries[i]
+    if not isinstance(raw, dict):
+        return ValidationError(f"{where}: expected an object")
+    unknown = set(raw) - {"seq"}
+    if unknown:
+        return ValidationError(f"{where}: unknown field {sorted(unknown)[0]!r}")
+    seq = raw.get("seq")
+    if not isinstance(seq, list) or not all(isinstance(s, str) for s in seq):
+        return ValidationError(f"{where}: seq must be a list of labels")
+    bad = [s for s in seq if s not in label_ids]
+    if bad:
+        return ValidationError(f"{where}: unknown label {bad[0]!r}")
+    if i == 0:
+        return ValidationError(f"{where}: the first entry must be the empty sequence")
+    if len(seq) > max_len:
+        return ValidationError(f"{where}: sequence longer than max_len")
+    if len(seq) < len(raw_entries[i - 1]["seq"]):
+        return ValidationError(
+            f"{where}: shorter than entries[{i - 1}]; entries must be shortest-first"
+        )
+    key = tuple(seq)
+    if key in known:
+        return ValidationError(f"{where}: repeats entries[{known[key]}]")
+    return ValidationError(
+        f"{where}: its sequence without the last label is not an earlier entry"
+    )

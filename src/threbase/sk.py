@@ -3,7 +3,11 @@
 A net is a deduplicated table of all products of at most L generators,
 with each entry carrying its label sequence (application order) and its
 matrix.  Dedup keeps the first sequence found in breadth-first order, so
-entries are shortest-first and net construction is fully deterministic.
+entries are shortest-first, every entry's sequence minus its last label is
+an earlier entry, and net construction is fully deterministic.  Those two
+properties let net_from_sequences rebuild a net's matrices from its
+sequences alone, one batched matmul per length, bit for bit as the build
+formed them; net caches therefore store no matrices.
 
 The build works one breadth-first layer at a time: one batched matmul
 makes a chunk of candidates, and a candidate is a duplicate when some
@@ -106,8 +110,7 @@ def build_net(
     if not 0 < dedupe_tol < math.inf:
         raise ValidationError(f"dedupe_tol must be positive and finite, got {dedupe_tol}")
     dim, labels = gateset.dim, gateset.labels
-    gens = np.array([gateset.matrix(lab) for lab in labels], dtype=complex)
-    gens = gens.reshape(len(labels), dim, dim)
+    gens = _generators(gateset)
     index = _KeyIndex(dim, dedupe_tol)
     index.add(np.eye(dim, dtype=complex)[None])
     seqs: list[tuple[str, ...]] = [()]
@@ -128,6 +131,42 @@ def build_net(
                 seqs.append(seqs[start + lo + entry] + (labels[g],))
         start = stop
     return Net(gateset, max_length, dedupe_tol, map(NetEntry, seqs, index.mats))
+
+
+def _generators(gateset: GateSet) -> np.ndarray:
+    dim, labels = gateset.dim, gateset.labels
+    gens = np.array([gateset.matrix(lab) for lab in labels], dtype=complex)
+    return gens.reshape(len(labels), dim, dim)
+
+
+def net_from_sequences(
+    gateset: GateSet,
+    max_length: int,
+    dedupe_tol: float,
+    seqs: list[tuple[str, ...]],
+    parents: list[int],
+    lasts: list[int],
+) -> Net:
+    """The net with these entries, its matrices rebuilt from the generators.
+
+    The sequences must be shortest-first and prefix-closed, with seqs[0]
+    empty: entry i is entry parents[i] followed by generator lasts[i] (an
+    index into gateset.labels), and parents[i] is an entry one shorter.
+    Each length's matrices come from one batched matmul,
+    gens[last] @ matrix[parent], the same per-pair product build_net forms,
+    so a net read back from its cache has build_net's matrices bit for bit.
+    """
+    dim = gateset.dim
+    gens = _generators(gateset)
+    stack = np.empty((len(seqs), dim, dim), dtype=complex)
+    stack[0] = np.eye(dim, dtype=complex)
+    lengths = np.fromiter(map(len, seqs), dtype=np.intp, count=len(seqs))
+    bounds = np.searchsorted(lengths, np.arange(1, lengths[-1] + 2)).tolist()
+    parents_a = np.asarray(parents, dtype=np.intp)
+    lasts_a = np.asarray(lasts, dtype=np.intp)
+    for lo, hi in zip(bounds, bounds[1:]):
+        stack[lo:hi] = gens[lasts_a[lo:hi]] @ stack[parents_a[lo:hi]]
+    return Net(gateset, max_length, dedupe_tol, map(NetEntry, seqs, stack))
 
 
 _CHUNK = 2**12

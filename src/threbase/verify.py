@@ -90,6 +90,13 @@ class EquivalenceReport:
             raise ValidationError("passed flag contradicts max_deviation vs tolerance")
 
 
+def _check_tol(tol: float):
+    # A NaN tolerance would fail every comparison and report "not
+    # equivalent", which blames the circuits for a bad argument.
+    if not tol >= 0:
+        raise ValidationError(f"tol must be >= 0, got {tol}")
+
+
 def _report(kind: str, deviations, tol: float, worst: int | None) -> EquivalenceReport:
     mx = float(max(deviations))
     return EquivalenceReport(kind, mx, tuple(deviations), tol, worst, mx <= tol)
@@ -208,6 +215,7 @@ def check_exact(
     a: Circuit, b: Circuit, tol: float = DEFAULT_TOL, max_qubits: int = MAX_QUBITS
 ) -> EquivalenceReport:
     """Phase-insensitive unitary distance between two circuits."""
+    _check_tol(tol)
     if a.n_qubits != b.n_qubits:
         raise ValidationError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
@@ -236,6 +244,7 @@ def check_realified(
     max_qubits: int = MAX_QUBITS,
 ) -> EquivalenceReport:
     """Basis-by-basis check of |i>|0> -> (Re U|i>)|0> + (Im U|i>)|1>."""
+    _check_tol(tol)
     u = _realified_pair(original, realified, max_qubits)
     deviations = np.empty(u.shape[1])
     for start, got in _batched_outputs(realified, 2 * np.arange(len(deviations))):
@@ -261,6 +270,7 @@ def check_measurement_stats(
     max_qubits: int = MAX_QUBITS,
 ) -> EquivalenceReport:
     """Outcome distributions on the original qubits, flag qubit marginalized."""
+    _check_tol(tol)
     u = _realified_pair(original, realified, max_qubits)
     deviations = np.empty(u.shape[1])
     for start, amps in _batched_outputs(realified, 2 * np.arange(len(deviations))):

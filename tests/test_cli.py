@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -241,6 +243,20 @@ def test_verify_modes_and_exit_codes(capsys, tmp_path, kitaev_file):
     assert format(np.sqrt(2 - np.sqrt(2)), ".17g") in out
 
 
+@pytest.mark.parametrize("mode", ["exact", "realified", "stats"])
+@pytest.mark.parametrize("tol", ["nan", "-1"])
+def test_verify_refuses_bad_tolerance(capsys, tmp_path, kitaev_file, mode, tol):
+    other = kitaev_file
+    if mode != "exact":
+        other = str(tmp_path / "real.json")
+        assert main(["transpile", kitaev_file, "--to", "th", "-o", other]) == 0
+    capsys.readouterr()
+    assert main(["verify", kitaev_file, other, "--mode", mode, "--tol", tol]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: tol must be >= 0, got {float(tol)}\n"
+
+
 def test_net_build_and_inspect(capsys, tmp_path):
     path = tmp_path / "k2.json"
     assert main(["net", "build", "--set", "kitaev", "--max-len", "2", "-o", str(path)]) == 0
@@ -249,6 +265,28 @@ def test_net_build_and_inspect(capsys, tmp_path):
     out = capsys.readouterr().out
     assert "gateset: kitaev\n" in out
     assert "by_length: 0:1 1:3 2:6\n" in out
+
+
+def test_version_one_net_cache_exits_2(capsys, tmp_path):
+    path = tmp_path / "k1.json"
+    assert main(["net", "build", "--set", "kitaev", "--max-len", "1", "-o", str(path)]) == 0
+    # A version-1 cache held each entry's matrix beside its sequence.
+    doc = json.loads(path.read_text())
+    doc["version"] = 1
+    for e in doc["entries"]:
+        e["matrix"] = [[float(k % 5 == 0), 0.0] for k in range(16)]
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    f = write_circuit(tmp_path / "x.json", Circuit(2, [Gate(GateKind.X, (1,))]))
+    for argv in (["net", "inspect", str(path)],
+                 ["transpile", f, "--to", "kitaev", "--net", str(path)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: unsupported net cache version 1, expected 2; "
+            "rebuild it with `threbase net build`\n"
+        )
 
 
 def test_net_build_stdout_parses(capsys):

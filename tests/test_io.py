@@ -180,15 +180,18 @@ def test_net_entry_validation():
 
     doc = json.loads(json.dumps(base))
     doc["entries"][0]["matrix"] = [[1, 0], [0, 0], [0, 0], [1, 0]]
-    with pytest.raises(ValidationError, match="net dimension is 4"):
+    with pytest.raises(ValidationError, match=r"entries\[0\]: unknown field 'matrix'"):
         parse_net(json.dumps(doc))
 
 
-def test_net_spot_check_catches_corruption():
-    doc = json.loads(emit_net(build_net(kitaev_gate_set(), 2)))
-    doc["entries"][3]["matrix"][0] = [0.5, 0.5]
-    with pytest.raises(ValidationError, match="stored matrix does not match"):
+def test_version_one_net_cache_is_refused():
+    doc = json.loads(emit_net(build_net(kitaev_gate_set(), 1)))
+    doc["version"] = 1
+    with pytest.raises(ValidationError) as e:
         parse_net(json.dumps(doc))
+    assert str(e.value) == (
+        "unsupported net cache version 1, expected 2; rebuild it with `threbase net build`"
+    )
 
 
 T_PAIRS = "[[1,0],[0,0],[0,0],[0.70710678118654757,0.70710678118654746]]"
@@ -250,21 +253,25 @@ def _net_doc():
 @pytest.mark.parametrize(
     "patch, message",
     [
-        (lambda e: e[4]["matrix"][2].__setitem__(0, "1"),
-         "entries[4]: matrix[2] must be a [re, im] pair"),
-        (lambda e: e[5]["matrix"][0].append(0), "entries[5]: matrix[0] must be a [re, im] pair"),
-        (lambda e: e[6]["matrix"].pop(), "entries[6]: matrix has 15 entries, not a square"),
-        (lambda e: e[7].__setitem__("matrix", [[1, 0], [0, 0], [0, 0], [1, 0]]),
-         "entries[7]: matrix is 2x2, net dimension is 4"),
+        (lambda e: e[4].__setitem__("matrix", [[1, 0]]), "entries[4]: unknown field 'matrix'"),
+        (lambda e: e[5].__setitem__("seq", "H0"), "entries[5]: seq must be a list of labels"),
+        # An unhashable label reaches the dictionary lookups.
+        (lambda e: e[6].__setitem__("seq", [["H1"], "CS"]),
+         "entries[6]: seq must be a list of labels"),
+        (lambda e: e[0].__setitem__("seq", ["H0"]),
+         "entries[0]: the first entry must be the empty sequence"),
+        (lambda e: e.insert(4, e.pop(3)),
+         "entries[4]: shorter than entries[3]; entries must be shortest-first"),
+        (lambda e: e.pop(1),
+         "entries[3]: its sequence without the last label is not an earlier entry"),
+        (lambda e: e[6].__setitem__("seq", ["H0", "CS"]), "entries[6]: repeats entries[5]"),
+        (lambda e: e[1].__setitem__("seq", []), "entries[1]: repeats entries[0]"),
         (lambda e: e.__setitem__(3, []), "entries[3]: expected an object"),
         (lambda e: e.__setitem__(3, "entry"), "entries[3]: expected an object"),
-        (lambda e: e[8].__setitem__("matrix", None),
-         "entries[8]: matrix must be a non-empty list"),
-        (lambda e: e[8]["matrix"][1].__setitem__(1, None),
-         "entries[8]: matrix[1] must be a [re, im] pair"),
     ],
 )
 def test_net_with_one_malformed_entry_names_it(patch, message):
+    # entries: [], H0, H1, CS, then H0 H1, H0 CS, H1 CS, CS H0, CS H1, CS CS.
     doc = _net_doc()
     patch(doc["entries"])
     with pytest.raises(ValidationError) as e:
@@ -272,17 +279,15 @@ def test_net_with_one_malformed_entry_names_it(patch, message):
     assert str(e.value) == message
 
 
-def test_bulk_and_per_entry_net_matrices_are_bitwise_equal():
-    from threbase.io import _bulk_matrices, _parse_matrix
-
-    doc = _net_doc()
-    entries = doc["entries"]
-    # Integers, booleans and a negative zero convert as complex(re, im) does.
-    entries[1]["matrix"][0] = [True, -0.0]
-    entries[2]["matrix"][5] = [0, -0.0]
-    bulk = _bulk_matrices(entries, 4)
-    assert bulk is not None and bulk.dtype == np.complex128
-    for i, raw in enumerate(entries):
-        assert bulk[i].tobytes() == _parse_matrix(raw["matrix"], "").tobytes()
-    entries[3]["matrix"][0] = ["1", 0]
-    assert _bulk_matrices(entries, 4) is None
+@pytest.mark.parametrize(
+    "factory, lengths",
+    [(kitaev_gate_set, range(1, 11)), (demo_1q_gate_set, range(1, 17))],
+    ids=["kitaev", "ht"],
+)
+def test_loaded_net_matrices_equal_build_net_bitwise(factory, lengths):
+    for length in lengths:
+        net = build_net(factory(), length)
+        back = parse_net(emit_net(net))
+        assert [e.seq for e in back.entries] == [e.seq for e in net.entries]
+        for a, b in zip(net.entries, back.entries):
+            assert a.matrix.tobytes() == b.matrix.tobytes(), (length, a.seq)

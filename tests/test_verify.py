@@ -241,6 +241,18 @@ def test_batched_norm_check_names_the_input():
         run(real, 3)
 
 
+@pytest.mark.parametrize("check", [check_exact, check_realified, check_measurement_stats])
+def test_checkers_refuse_nan_and_negative_tolerance(check):
+    c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (0, 1))])
+    other = c if check is check_exact else realify_circuit(c)[0]
+    for tol in (float("nan"), -1.0, -0.5e-300):
+        with pytest.raises(ValidationError, match=f"tol must be >= 0, got {tol}"):
+            check(c, other, tol)
+    rep = check(c, other, 0.0)
+    assert rep.tolerance == 0.0 and rep.passed == (rep.max_deviation == 0.0)
+    assert check(c, other, float("inf")).passed
+
+
 @pytest.mark.parametrize("check", [check_realified, check_measurement_stats])
 def test_realified_checks_fail_fast_at_the_cap(check):
     import tracemalloc
