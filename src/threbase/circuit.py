@@ -9,15 +9,15 @@ circuit_unitary never forms an embedded matrix.  A k-qubit gate only mixes
 rows whose indices differ in its operand bits, so each gate gathers those
 rows of the running matrix in groups of 2**k and multiplies each group by
 the gate matrix: O(4**n * 2**k) per gate instead of the O(8**n) dense
-product.  The row-index table (`_operand_rows`) is the same bit arithmetic
-that places a gate's entries in `embed`.  Columns of the unitary evolve
-independently, so the circuit is applied to blocks of at most
-BLOCK_AMPLITUDES entries of the identity in turn: beside the result, a gate
-application then holds two blocks, not two more full matrices.  A run of
-consecutive gates on the same operands (a single-qubit Solovay-Kitaev word is
-one run) is gathered once, multiplied gate by gate, and scattered once; the
-gather and scatter are exact copies, so this is bitwise equal to the
-per-gate loop.
+product.  The row-index table (`_operand_rows`, one transpose of the index
+tensor) is the same table that places a gate's entries in `embed`.
+Columns of the unitary evolve independently, so the circuit is applied to
+blocks of at most BLOCK_AMPLITUDES entries of the identity in turn: beside
+the result, a gate application then holds two blocks, not two more full
+matrices.  A run of consecutive gates on the same operands (a single-qubit
+Solovay-Kitaev word is one run) is gathered once, multiplied gate by gate,
+and scattered once; the gather and scatter are exact copies, so this is
+bitwise equal to the per-gate loop.
 """
 
 from __future__ import annotations
@@ -72,15 +72,12 @@ def _operand_rows(qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     are all clear, with those bits set to the local index l (first operand
     most significant).  Column r lists the 2**k indices the gate mixes.
     """
-    k = len(qubits)
-    shifts = [n_qubits - 1 - q for q in qubits]
-    idx = np.arange(2**n_qubits, dtype=np.int64)
-    rest = idx[(idx & sum(1 << s for s in shifts)) == 0]
-    local = np.arange(2**k, dtype=np.int64)
-    place = np.zeros(2**k, dtype=np.int64)
-    for j, s in enumerate(shifts):
-        place |= ((local >> (k - 1 - j)) & 1) << s
-    return place[:, None] | rest[None, :]
+    # Axis q of the index tensor is qubit q's bit; moving the operands to the
+    # front, in operand order, ahead of the other qubits in increasing order
+    # gives that layout in one transpose.
+    rest = [q for q in range(n_qubits) if q not in qubits]
+    idx = np.arange(2**n_qubits, dtype=np.int64).reshape((2,) * n_qubits)
+    return idx.transpose(list(qubits) + rest).reshape(2 ** len(qubits), -1)
 
 
 def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:

@@ -180,8 +180,8 @@ def cmd_net(args) -> int:
 
     net = _load_net(args.path)
     by_len: dict[int, int] = {}
-    for e in net.entries:
-        by_len[e.length] = by_len.get(e.length, 0) + 1
+    for seq in net.seqs:
+        by_len[len(seq)] = by_len.get(len(seq), 0) + 1
     hist = " ".join(f"{l}:{by_len[l]}" for l in sorted(by_len))
     sys.stdout.write(
         _report_lines(
@@ -226,6 +226,10 @@ def cmd_simulate(args) -> int:
 def cmd_bench(args) -> int:
     if not args.sk_scaling:
         raise ValidationError("bench requires --sk-scaling")
+    if args.targets < 1:
+        raise ValidationError(f"--targets must be >= 1, got {args.targets}")
+    if args.seed < 0:
+        raise ValidationError(f"--seed must be >= 0, got {args.seed}")
     if args.net:
         net = _load_net(args.net, expect_qubits=1)
     else:

@@ -8,7 +8,9 @@ Net caches (version 2) store only label sequences, shortest-first, plus a
 fingerprint of the generating set so a stale cache cannot be reused
 against different generators.  A net's sequences are prefix-closed, so
 parse_net checks that structure and rebuilds every matrix with
-sk.net_from_sequences, bit for bit as build_net formed it; a version-1
+sk.net_from_sequences, bit for bit as build_net formed it, into one
+read-only (N, d, d) stack beside the sequences; no per-entry object is
+made.  emit_net writes the sequences straight from net.seqs.  A version-1
 cache, which stored matrices, is refused.
 
 Documents are long lists of a few distinct gates, so the work scales with
@@ -181,9 +183,9 @@ def emit_net(net: Net) -> str:
         f'"entries":['
     )
     rows = []
-    for e in net.entries:
-        seq = ",".join(f'"{label}"' for label in e.seq)
-        rows.append(f'{{"seq":[{seq}]}}')
+    for seq in net.seqs:
+        labels = ",".join(f'"{label}"' for label in seq)
+        rows.append(f'{{"seq":[{labels}]}}')
     return head + ",".join(rows) + "]}\n"
 
 

@@ -156,6 +156,11 @@ def rebase_circuit(
     needs_net(c, keep) is false.  The accuracy budget eps is
     split uniformly over the gates that need approximation; error_bound is
     the sum of achieved distances.
+
+    The net is searched once per distinct target matrix in this call: X on
+    qubit 0 and X on qubit 2 both approximate kron(X, I) on their own pair.
+    The memo is keyed on the target's bytes and lives for one call; the
+    budget is still checked for every gate.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -172,12 +177,17 @@ def rebase_circuit(
     budget = eps / pending if pending else eps
     out: list[Gate] = []
     total_err = 0.0
+    searched: dict[bytes, tuple[tuple[str, ...], float]] = {}
     for plan in plans:
         if isinstance(plan, list):
             out.extend(plan)
             continue
         target, pair = _approx_target(plan, c.n_qubits)
-        seq, achieved = sk_mod.net_search_2q(target, net)
+        key = target.tobytes()
+        found = searched.get(key)
+        if found is None:
+            found = searched[key] = sk_mod.net_search_2q(target, net)
+        seq, achieved = found
         if achieved > budget:
             raise BudgetNotMet(
                 f"best approximation of {plan.kind.value} on {plan.qubits} "

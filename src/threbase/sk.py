@@ -1,13 +1,15 @@
 """Solovay-Kitaev approximation over finite gate sets.
 
 A net is a deduplicated table of all products of at most L generators,
-with each entry carrying its label sequence (application order) and its
-matrix.  Dedup keeps the first sequence found in breadth-first order, so
-entries are shortest-first, every entry's sequence minus its last label is
-an earlier entry, and net construction is fully deterministic.  Those two
-properties let net_from_sequences rebuild a net's matrices from its
-sequences alone, one batched matmul per length, bit for bit as the build
-formed them; net caches therefore store no matrices.
+held as two parallel columns: the entries' label sequences (application
+order) and one contiguous, read-only (N, d, d) stack of their matrices,
+which the search scans in one batched call.  Dedup keeps the first
+sequence found in breadth-first order, so entries are shortest-first,
+every entry's sequence minus its last label is an earlier entry, and net
+construction is fully deterministic.  Those two properties let
+net_from_sequences rebuild a net's matrices from its sequences alone, one
+batched matmul per length, bit for bit as the build formed them; net
+caches therefore store no matrices.
 
 The build works one breadth-first layer at a time: one batched matmul
 makes a chunk of candidates, and a candidate is a duplicate when some
@@ -31,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -63,26 +66,54 @@ class NetEntry:
 
 
 class Net:
-    """Immutable entry table over a gate set, with cached matrix stacks."""
+    """Immutable entry table over a gate set.
 
-    def __init__(self, gateset: GateSet, max_length: int, dedupe_tol: float, entries):
+    seqs[i] is entry i's label sequence and stack[i] its matrix; the stack
+    is one read-only (N, d, d) array.  NetEntry objects are made only on
+    request: `entries` builds them all on first read, and the search makes
+    one for its winner.
+    """
+
+    def __init__(
+        self,
+        gateset: GateSet,
+        max_length: int,
+        dedupe_tol: float,
+        seqs,
+        stack: np.ndarray,
+    ):
         self.gateset = gateset
         self.max_length = max_length
         self.dedupe_tol = dedupe_tol
-        self.entries = tuple(entries)
+        self.seqs: tuple[tuple[str, ...], ...] = tuple(seqs)
+        # A read-only view: the caller's array keeps its own flags.
+        stack = np.asarray(stack, dtype=complex).view()
+        d = gateset.dim
+        if stack.shape != (len(self.seqs), d, d):
+            raise ValidationError(
+                f"net stack of shape {stack.shape} does not hold "
+                f"{len(self.seqs)} matrices of dimension {d}"
+            )
+        stack.flags.writeable = False
+        self.stack = stack
         self._conj_stack: np.ndarray | None = None
         self._absdet_stack: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.seqs)
 
     @property
     def dim(self) -> int:
         return self.gateset.dim
 
+    @cached_property
+    def entries(self) -> tuple[NetEntry, ...]:
+        return tuple(map(NetEntry, self.seqs, self.stack))
+
     def conj_stack(self) -> np.ndarray:
         if self._conj_stack is None:
-            self._conj_stack = np.conj(np.stack([e.matrix for e in self.entries]))
+            self._conj_stack = np.conj(self.stack)
+            self._conj_stack.flags.writeable = False
         return self._conj_stack
 
     def absdet_stack(self) -> np.ndarray:
@@ -130,7 +161,7 @@ def build_net(
                 entry, g = divmod(k, len(labels))
                 seqs.append(seqs[start + lo + entry] + (labels[g],))
         start = stop
-    return Net(gateset, max_length, dedupe_tol, map(NetEntry, seqs, index.mats))
+    return Net(gateset, max_length, dedupe_tol, seqs, index.mats)
 
 
 def _generators(gateset: GateSet) -> np.ndarray:
@@ -166,7 +197,7 @@ def net_from_sequences(
     lasts_a = np.asarray(lasts, dtype=np.intp)
     for lo, hi in zip(bounds, bounds[1:]):
         stack[lo:hi] = gens[lasts_a[lo:hi]] @ stack[parents_a[lo:hi]]
-    return Net(gateset, max_length, dedupe_tol, map(NetEntry, seqs, stack))
+    return Net(gateset, max_length, dedupe_tol, seqs, stack)
 
 
 _CHUNK = 2**12
@@ -265,7 +296,7 @@ _TIE_TOL = 1e-12
 
 
 def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
-    if not net.entries:
+    if not len(net):
         raise ValidationError("net has no entries")
     u = as_matrix(u)
     if u.shape[0] != net.dim:
@@ -275,6 +306,7 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
     if not is_unitary(u, UNITARY_TOL):
         raise ValidationError("nearest-entry search needs a unitary target")
     d = net.dim
+    seqs = net.seqs
     if d == 2:
         # Same closed form as dist() on unitary 2x2 pairs, over all entries
         # at once: tr(e^dag u) and |det| give the folded eigenphase gap.
@@ -283,8 +315,8 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
         folded = np.minimum(1.0, np.abs(tr) / (2.0 * np.sqrt(net.absdet_stack() * absdet_u)))
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
         ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
-        best = min(ties, key=lambda i: (net.entries[i].length, net.entries[i].seq))
-        entry = net.entries[best]
+        best = min(ties.tolist(), key=lambda i: (len(seqs[i]), seqs[i]))
+        entry = NetEntry(seqs[best], net.stack[best])
         if dists[best] < CLOSED_FORM_MIN:
             # Near-exact hits sit in the closed form's cancellation regime;
             # report the achieved distance at full absolute accuracy.
@@ -301,9 +333,10 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
     upper = phase_dist(conj[first].T @ u)
     cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
     dists = phase_dist(np.swapaxes(conj[cand], -1, -2) @ u)
-    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
-    best = min(ties, key=lambda i: (net.entries[cand[i]].length, net.entries[cand[i]].seq))
-    return net.entries[cand[best]], float(dists[best])
+    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL).tolist()
+    best = min(ties, key=lambda i: (len(seqs[cand[i]]), seqs[cand[i]]))
+    k = int(cand[best])
+    return NetEntry(seqs[k], net.stack[k]), float(dists[best])
 
 
 def nearest(net: Net, u) -> NetEntry:

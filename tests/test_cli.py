@@ -333,6 +333,18 @@ def test_bench_requires_mode_flag(capsys):
     assert "--sk-scaling" in capsys.readouterr().err
 
 
+def test_bench_refuses_negative_seed(capsys):
+    assert main(["bench", "--sk-scaling", "--seed", "-1", "--max-len", "2"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -1\n"
+
+
+def test_bench_refuses_negative_target_count(capsys):
+    assert main(["bench", "--sk-scaling", "--targets", "-3", "--max-len", "2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: --targets must be >= 1, got -3\n"
+    assert captured.out == ""
+
+
 def test_qubit_cap_env_override(capsys, monkeypatch, tmp_path):
     f = write_circuit(tmp_path / "c3.json", Circuit(3, [Gate(GateKind.H, (0,))]))
     monkeypatch.setenv("TH_REBASE_MAX_QUBITS", "2")

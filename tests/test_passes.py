@@ -19,6 +19,7 @@ from threbase import (
     rebase_circuit,
     rebase_exact,
 )
+from threbase import sk
 from threbase.errors import ValidationError
 
 CS_GATE = Gate(GateKind.CS, (0, 1))
@@ -196,3 +197,45 @@ def test_rebase_single_qubit_gate_on_wide_circuit(kitaev8):
     touched = {q for g in out.gates for q in g.qubits}
     assert touched <= {2, 0}
     assert dist(circuit_unitary(out), circuit_unitary(c)) <= report.error_bound + 1e-9
+
+
+def test_rebase_circuit_searches_each_distinct_target_once(kitaev8, monkeypatch):
+    g = haar_unitary(4, np.random.default_rng(11))
+    gates = [
+        Gate(GateKind.X, (0,)),
+        Gate(GateKind.GENERIC, (0, 2), g),
+        Gate(GateKind.S, (2,)),
+        Gate(GateKind.X, (1,)),
+        Gate(GateKind.CZ, (1, 2)),
+        Gate(GateKind.S, (0,)),
+        Gate(GateKind.GENERIC, (2, 1), g),
+        Gate(GateKind.X, (2,)),
+        Gate(GateKind.GENERIC, (0, 2), g),
+    ]
+    c = Circuit(3, gates)
+    eps = 100.0
+    searches = []
+    nearest = sk._nearest
+
+    def counted(net, u):
+        searches.append(u)
+        return nearest(net, u)
+
+    monkeypatch.setattr(sk, "_nearest", counted)
+
+    # Reference: each gate rebased on its own, so each approximated gate is
+    # one search.  A 100 budget over 8 gates binds nowhere.
+    want_gates, want_bound = [], 0.0
+    for gate in gates:
+        out, report = rebase_circuit(Circuit(3, [gate]), kitaev8, eps)
+        want_gates.extend(out.gates)
+        want_bound += report.error_bound
+    assert len(searches) == 8
+
+    for call in (1, 2):
+        searches.clear()
+        out, report = rebase_circuit(c, kitaev8, eps)
+        # kron(X, I), kron(S, I) and g: three distinct targets, every call.
+        assert len(searches) == 3
+        assert out.gates == tuple(want_gates)
+        assert report.error_bound == want_bound

@@ -20,7 +20,7 @@ from threbase import (
     sk_approx,
     sk_trace,
 )
-from threbase import sk
+from threbase import io, sk
 from threbase.errors import CapExceeded, ValidationError
 from threbase.sk import NetEntry, _angle_axis, _nearest, _to_su2
 
@@ -154,7 +154,25 @@ def test_nearest_finds_generators_and_validates():
     with pytest.raises(ValidationError):
         nearest(net, np.eye(2))
     with pytest.raises(ValidationError):
-        nearest(Net(net.gateset, 0, 1e-4, []), np.eye(4))
+        nearest(Net(net.gateset, 0, 1e-4, [], np.empty((0, 4, 4), dtype=complex)), np.eye(4))
+
+
+@pytest.mark.parametrize("gateset,length", [(kitaev_gate_set, 4), (demo_1q_gate_set, 10)])
+def test_net_stack_is_one_read_only_array(gateset, length):
+    built = build_net(gateset(), length)
+    for net in (built, io.parse_net(io.emit_net(built))):
+        want = np.conj(np.stack([e.matrix for e in net.entries]))
+        assert net.conj_stack().tobytes() == want.tobytes()
+        assert net.conj_stack().shape == want.shape
+        assert not net.stack.flags.writeable
+        with pytest.raises(ValueError):
+            net.stack[0, 0, 0] = 0
+        assert len(net.entries) == len(net.seqs) == len(net.stack) == len(net)
+        for e, seq, m in zip(net.entries, net.seqs, net.stack):
+            assert e.seq == seq and e.length == len(seq)
+            assert e.matrix.tobytes() == m.tobytes()
+    with pytest.raises(ValidationError, match="does not hold"):
+        Net(built.gateset, length, 1e-4, built.seqs[:-1], built.stack)
 
 
 @pytest.mark.parametrize("dim_fixture", ["demo12", "kitaev_small"])
