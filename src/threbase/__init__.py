@@ -39,7 +39,6 @@ from .sk import (
     build_net,
     gc_decompose,
     nearest,
-    net_search_2q,
     sk_approx,
     sk_trace,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "is_unitary",
     "kitaev_gate_set",
     "nearest",
-    "net_search_2q",
     "parse_circuit",
     "parse_net",
     "phase_dist",

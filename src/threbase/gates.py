@@ -152,14 +152,15 @@ _MAX_GENERATOR_ORDER = 16
 class GateSet:
     """Named generators over a fixed-width qubit domain.
 
-    When the set is not closed under inverse, each generator must have a
-    finite order so inverses can be synthesized by powering (CS^-1 = CS^3).
+    Each generator's inverse is the first generator equal to its adjoint
+    or, where there is none, a power of the generator itself (CS^-1 = CS^3),
+    so a generator with neither an inverse generator nor a finite order is
+    refused.
     """
 
     name: str
     n_qubits: int
     generators: tuple[tuple[str, Gate], ...]
-    closed_under_inverse: bool = False
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
     _matrices: dict = field(default_factory=dict, repr=False, compare=False)
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
@@ -181,17 +182,16 @@ class GateSet:
                 raise ValidationError(f"generator {lab} is not unitary")
             m.setflags(write=False)
             self._matrices[lab] = m
-            if not self.closed_under_inverse:
+        for lab, m in self._matrices.items():
+            target = m.conj().T
+            inverse = next(
+                (o for o in labels if np.allclose(self._matrices[o], target, atol=1e-12)),
+                None,
+            )
+            if inverse is None:
                 self._inverses[lab] = (lab,) * (_finite_order(m, lab) - 1)
-        if self.closed_under_inverse:
-            # A label without an inverse generator stays out of the table and
-            # fails only when its inverse is asked for.
-            for lab, m in self._matrices.items():
-                target = m.conj().T
-                for other in labels:
-                    if np.allclose(self._matrices[other], target, atol=1e-12):
-                        self._inverses[lab] = (other,)
-                        break
+            else:
+                self._inverses[lab] = (inverse,)
 
     @property
     def dim(self) -> int:
@@ -214,8 +214,7 @@ class GateSet:
         try:
             return self._inverses[label]
         except KeyError:
-            self.matrix(label)  # unknown labels raise here
-            raise ValidationError(f"no inverse generator found for {label!r}") from None
+            raise ValidationError(f"unknown generator {label!r}") from None
 
     def evaluate(self, seq) -> np.ndarray:
         """Product of a label sequence given in application order."""
@@ -242,8 +241,8 @@ def _finite_order(m: np.ndarray, label: str) -> int:
             return order
         p = p @ m
     raise ValidationError(
-        f"generator {label} has no order <= {_MAX_GENERATOR_ORDER}; "
-        "cannot synthesize its inverse by powering"
+        f"generator {label} has no inverse generator and no order <= "
+        f"{_MAX_GENERATOR_ORDER}; cannot synthesize its inverse"
     )
 
 
@@ -276,7 +275,6 @@ def demo_1q_gate_set() -> GateSet:
             ("T", Gate(GateKind.GENERIC, (0,), matrix=t)),
             ("TDG", Gate(GateKind.GENERIC, (0,), matrix=t.conj().T)),
         ),
-        closed_under_inverse=True,
     )
 
 

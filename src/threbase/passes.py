@@ -186,7 +186,8 @@ def rebase_circuit(
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
-            found = searched[key] = sk_mod.net_search_2q(target, net)
+            k, achieved = sk_mod._nearest(net, target)
+            found = searched[key] = (net.seqs[k], achieved)
         seq, achieved = found
         if achieved > budget:
             raise BudgetNotMet(

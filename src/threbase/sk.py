@@ -23,7 +23,10 @@ with every earlier entry.
 
 The recursion refines a depth-(k-1) approximation u' of u by factoring the
 residual u @ u'^dagger into a balanced group commutator V W V^dag W^dag,
-recursing on V and W, and prepending u'.  Refinement keeps whichever of
+recursing on V and W, and prepending u'.  V and W are rotations by one
+angle about two orthogonal axes, all three in closed form: the axes are
+built in a frame around the residual's own axis, so no commutator is
+formed and no axis is read back from one.  Refinement keeps whichever of
 the refined and unrefined candidates is closer, so achieved distance is
 monotone non-increasing in depth.  Only dimension 2 is refined; dimension 4
 gets the depth-0 net lookup with an honestly reported distance.
@@ -70,8 +73,8 @@ class Net:
 
     seqs[i] is entry i's label sequence and stack[i] its matrix; the stack
     is one read-only (N, d, d) array.  NetEntry objects are made only on
-    request: `entries` builds them all on first read, and the search makes
-    one for its winner.
+    request: `entries` builds them all on first read, and `nearest` makes
+    one for its winner; the search itself returns an index.
     """
 
     def __init__(
@@ -295,7 +298,12 @@ def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarra
 _TIE_TOL = 1e-12
 
 
-def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
+def _nearest(net: Net, u: np.ndarray) -> tuple[int, float]:
+    """Index of the closest entry under dist, and its distance to u.
+
+    Ties within _TIE_TOL go to the shorter, then lexicographically first,
+    sequence.
+    """
     if not len(net):
         raise ValidationError("net has no entries")
     u = as_matrix(u)
@@ -316,12 +324,11 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
         ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
         best = min(ties.tolist(), key=lambda i: (len(seqs[i]), seqs[i]))
-        entry = NetEntry(seqs[best], net.stack[best])
         if dists[best] < CLOSED_FORM_MIN:
             # Near-exact hits sit in the closed form's cancellation regime;
             # report the achieved distance at full absolute accuracy.
-            return entry, dist(entry.matrix, u)
-        return entry, float(dists[best])
+            return best, dist(net.stack[best], u)
+        return best, float(dists[best])
     # Frobenius lower bound f / sqrt(d) <= dist for every entry; the entry
     # with the smallest bound gives an upper bound on the minimum, and only
     # entries whose lower bound reaches it go through the eigenphase kernel.
@@ -335,21 +342,13 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[NetEntry, float]:
     dists = phase_dist(np.swapaxes(conj[cand], -1, -2) @ u)
     ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL).tolist()
     best = min(ties, key=lambda i: (len(seqs[cand[i]]), seqs[cand[i]]))
-    k = int(cand[best])
-    return NetEntry(seqs[k], net.stack[k]), float(dists[best])
+    return int(cand[best]), float(dists[best])
 
 
 def nearest(net: Net, u) -> NetEntry:
     """Closest entry under dist; ties go to shorter, then lexicographic, seq."""
-    return _nearest(net, u)[0]
-
-
-def net_search_2q(u, net: Net) -> tuple[tuple[str, ...], float]:
-    """Depth-0 lookup for a two-qubit target; no recursion at dimension 4."""
-    if net.gateset.n_qubits != 2:
-        raise ValidationError("net_search_2q needs a net over a two-qubit gate set")
-    entry, achieved = _nearest(net, u)
-    return entry.seq, achieved
+    k = _nearest(net, u)[0]
+    return NetEntry(net.seqs[k], net.stack[k])
 
 
 # --- balanced group commutator -------------------------------------------
@@ -383,40 +382,14 @@ def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * na
 
 
-_EX = np.array([1.0, 0.0, 0.0])
-_EY = np.array([0.0, 1.0, 0.0])
-
-
-def _commutator_of(phi: float) -> np.ndarray:
-    v = _rotation(_EX, phi)
-    w = _rotation(_EY, phi)
-    return v @ w @ v.conj().T @ w.conj().T
-
-
-def _axis_aligner(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """SU(2) conjugator whose Bloch rotation takes axis src to axis dst."""
-    cross = np.cross(src, dst)
-    norm = np.linalg.norm(cross)
-    cos = float(np.dot(src, dst))
-    if norm < 1e-14:
-        if cos > 0:
-            return np.eye(2, dtype=complex)
-        # Antiparallel: rotate by pi about any axis orthogonal to src.
-        probe = np.zeros(3)
-        probe[int(np.argmin(np.abs(src)))] = 1.0
-        ortho = probe - np.dot(probe, src) * src
-        return _rotation(ortho / np.linalg.norm(ortho), np.pi)
-    angle = np.arctan2(norm, cos)
-    return _rotation(cross / norm, angle)
-
-
 def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     """Factor a near-identity 2x2 unitary as a balanced group commutator.
 
     Returns equal-angle rotations (V, W) about orthogonal axes with
     dist(delta, V W V^dag W^dag) <= COMMUTATOR_TOL.  The rotation angle is
-    a closed form in delta's angle, and the commutator axis is then
-    conjugated onto delta's axis.
+    a closed form in delta's angle, and the two axes are a closed form in
+    that angle and delta's axis: they are built in a frame around delta's
+    axis, so no commutator is formed to read its axis back.
     """
     delta = as_matrix(delta)
     if delta.shape[0] != 2:
@@ -438,15 +411,22 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     # quant-ph/0505030); with sin^2(phi/2) = sin(a) the right side is
     # sin(2a), so a = theta/4.
     phi = 2.0 * np.arcsin(np.sqrt(np.sin(theta / 4.0)))
-
-    v = _rotation(_EX, phi)
-    w = _rotation(_EY, phi)
-    _, caxis = _angle_axis(_to_su2(_commutator_of(phi)))
-    if caxis is None:
-        raise CompileError("degenerate commutator axis")
-    s = _axis_aligner(caxis, axis)
-    v = s @ v @ s.conj().T
-    w = s @ w @ s.conj().T
+    # The quaternion product puts that commutator's axis at (s, -s, c) / r,
+    # with s, c = sin, cos(phi/2) and r = sqrt(1 + s^2).  In a frame (n, a,
+    # b) around delta's axis n, the axes x' and y' below are orthonormal and
+    # s x' - s y' + c (x' cross y') = r n, so the rotation taking x, y to
+    # x', y' takes the commutator's axis onto n.
+    s, c = np.sin(phi / 2.0), np.cos(phi / 2.0)
+    r = np.sqrt(1.0 + s * s)
+    # a = n x e_j / |n x e_j| for n's smallest component j, and b = n x a.
+    j = int(np.argmin(np.abs(axis)))
+    e_j = np.eye(3)[j]
+    norm = np.sqrt(1.0 - axis[j] ** 2)
+    a = np.cross(axis, e_j) / norm
+    b = (axis[j] * axis - e_j) / norm
+    along, across = (s / r) * axis, (c / (r * np.sqrt(2.0))) * b
+    v = _rotation(along + a / np.sqrt(2.0) - across, phi)
+    w = _rotation(-along + a / np.sqrt(2.0) + across, phi)
     residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
     if residual > COMMUTATOR_TOL:
         raise CompileError(
@@ -510,8 +490,8 @@ def _refine(u: np.ndarray, prev: _Approx, sub_depth: int, net: Net) -> _Approx:
 
 def _levels(u: np.ndarray, depth: int, net: Net) -> list[_Approx]:
     """Approximations of u at depths 0..depth, each refining the one before."""
-    entry, d0 = _nearest(net, u)
-    levels = [_Approx(entry.seq, entry.matrix, d0)]
+    best, d0 = _nearest(net, u)
+    levels = [_Approx(net.seqs[best], net.stack[best], d0)]
     for k in range(depth):
         levels.append(_refine(u, levels[-1], k, net))
     return levels

@@ -26,7 +26,6 @@ from threbase import (
     haar_unitary,
     kitaev_gate_set,
     nearest,
-    net_search_2q,
     realify_circuit,
     realify_matrix,
     rebase_exact,
@@ -214,8 +213,8 @@ def test_two_qubit_net_hits_cliffords_and_tightens_with_length(acceptance_log):
     t0 = time.perf_counter()
     net3 = build_net(kitaev_gate_set(), 3)
     cz = np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    _, d_cz = net_search_2q(cz, net3)
-    _, d_csdg = net_search_2q(CS4.conj().T, net3)
+    d_cz = dist(nearest(net3, cz).matrix, cz)
+    d_csdg = dist(nearest(net3, CS4.conj().T).matrix, CS4.conj().T)
     assert d_cz <= 1e-12
     assert d_csdg <= 1e-12
 
@@ -226,7 +225,7 @@ def test_two_qubit_net_hits_cliffords_and_tightens_with_length(acceptance_log):
     for u in targets:
         prev = None
         for length in (4, 6, 8):
-            d = net_search_2q(u, nets[length])[1]
+            d = dist(nearest(nets[length], u).matrix, u)
             if prev is not None:
                 assert d <= prev + 1e-12
             prev = d

@@ -110,22 +110,35 @@ def test_inverse_labels_by_powering():
 
 def test_inverse_labels_when_closed():
     gs = demo_1q_gate_set()
-    assert gs.closed_under_inverse
     assert gs.inverse_labels("H") == ("H",)
     assert gs.inverse_labels("T") == ("TDG",)
     assert gs.inverse_labels("TDG") == ("T",)
 
 
 def test_missing_inverse_fails_when_asked_not_when_built():
+    # {H, S} has no generator equal to S^dag, so S is inverted by powering;
+    # an irrational rotation beside its adjoint is inverted by that adjoint.
     gs = GateSet(
         name="half",
         n_qubits=1,
         generators=(("H", Gate(GateKind.H, (0,))), ("S", Gate(GateKind.S, (0,)))),
-        closed_under_inverse=True,
     )
     assert gs.inverse_labels("H") == ("H",)
-    with pytest.raises(ValidationError, match="no inverse generator"):
-        gs.inverse_labels("S")
+    assert gs.inverse_labels("S") == ("S", "S", "S")
+    for lab in gs.labels:
+        seq = (lab,) + gs.inverse_labels(lab)
+        assert np.allclose(gs.evaluate(seq), np.eye(2), atol=1e-12)
+    r = np.diag([1.0, np.exp(1j * np.pi / 4 * np.sqrt(2))])
+    pair = GateSet(
+        name="irr",
+        n_qubits=1,
+        generators=(
+            ("R", Gate(GateKind.GENERIC, (0,), r)),
+            ("RDG", Gate(GateKind.GENERIC, (0,), r.conj().T)),
+        ),
+    )
+    assert pair.inverse_labels("R") == ("RDG",)
+    assert pair.inverse_labels("RDG") == ("R",)
     with pytest.raises(ValidationError, match="unknown generator"):
         gs.inverse_labels("T")
     with pytest.raises(ValidationError, match="unknown generator"):

@@ -12,7 +12,7 @@ from threbase import (
     gate_matrix,
     haar_unitary,
     kitaev_gate_set,
-    net_search_2q,
+    nearest,
     realify_circuit,
     realify_gate,
     realify_matrix,
@@ -140,9 +140,10 @@ def test_pauli_x_is_no_net_product():
     # No product of at most six generators is X (x) I up to phase; the
     # nearest one keeps a gap of 2 sin(pi/8).
     net6 = build_net(kitaev_gate_set(), 6)
-    seq, achieved = net_search_2q(np.kron(gate_matrix(GateKind.X), np.eye(2)), net6)
-    assert seq == ("H0",)
-    assert achieved == pytest.approx(0.7653668647301796, abs=1e-12)
+    x_on_0 = np.kron(gate_matrix(GateKind.X), np.eye(2))
+    entry = nearest(net6, x_on_0)
+    assert entry.seq == ("H0",)
+    assert dist(entry.matrix, x_on_0) == pytest.approx(0.7653668647301796, abs=1e-12)
 
 
 def test_rebase_circuit_exact_only(kitaev8):

@@ -16,13 +16,12 @@ from threbase import (
     haar_unitary,
     kitaev_gate_set,
     nearest,
-    net_search_2q,
     sk_approx,
     sk_trace,
 )
 from threbase import io, sk
 from threbase.errors import CapExceeded, ValidationError
-from threbase.sk import NetEntry, _angle_axis, _nearest, _to_su2
+from threbase.sk import COMMUTATOR_TOL, NetEntry, _angle_axis, _nearest, _to_su2
 
 CS4 = np.diag([1, 1, 1, 1j])
 
@@ -66,11 +65,11 @@ def test_length_one_net_contents():
 def test_controlled_z_and_inverse_appear_exactly():
     net = build_net(kitaev_gate_set(), 3)
     cz = np.diag([1, 1, 1, -1]).astype(complex)
-    seq, achieved = net_search_2q(cz, net)
-    assert seq == ("CS", "CS")
+    k, achieved = _nearest(net, cz)
+    assert net.seqs[k] == ("CS", "CS")
     assert achieved < 1e-12
-    seq, achieved = net_search_2q(CS4.conj().T, net)
-    assert seq == ("CS", "CS", "CS")
+    k, achieved = _nearest(net, CS4.conj().T)
+    assert net.seqs[k] == ("CS", "CS", "CS")
     assert achieved < 1e-12
 
 
@@ -184,10 +183,10 @@ def test_nearest_matches_linear_scan_oracle(request, dim_fixture):
     rng = np.random.default_rng(20)
     for _ in range(15):
         u = haar_unitary(net.gateset.dim, rng)
-        entry, achieved = _nearest(net, u)
+        k, achieved = _nearest(net, u)
         brute = min(dist(e.matrix, u) for e in net.entries)
         assert achieved == pytest.approx(brute, abs=1e-9)
-        assert dist(entry.matrix, u) == pytest.approx(brute, abs=1e-9)
+        assert dist(net.stack[k], u) == pytest.approx(brute, abs=1e-9)
 
 
 @pytest.mark.parametrize("kind,want", [("X", ("H0",)), ("Z", ("H0",)), ("S", ()), ("SDG", ())])
@@ -197,8 +196,8 @@ def test_nearest_breaks_exact_ties_by_length(kitaev8, kind, want):
     # global phase on the target changes how they round.
     for phase in (0.0, -0.7, 2.5):
         u = np.exp(1j * phase) * np.kron(gate_matrix(kind), np.eye(2))
-        entry, achieved = _nearest(kitaev8, u)
-        assert entry.seq == want
+        k, achieved = _nearest(kitaev8, u)
+        assert kitaev8.seqs[k] == want
         assert achieved == pytest.approx(2 * np.sin(np.pi / 8), abs=1e-12)
         assert nearest(kitaev8, u).seq == want
 
@@ -210,8 +209,8 @@ def test_nearest_breaks_rounded_ties_by_length_at_dimension_2():
     net = build_net(demo_1q_gate_set(), 3)
     for phase in (0.0, -0.7, 1.0, 2.5):
         u = np.exp(1j * phase) * np.diag([1, np.exp(1j * np.pi / 8)])
-        entry, achieved = _nearest(net, u)
-        assert entry.seq == ()
+        k, achieved = _nearest(net, u)
+        assert net.seqs[k] == ()
         assert achieved == pytest.approx(2 * np.sin(np.pi / 32), abs=1e-12)
 
 
@@ -222,7 +221,7 @@ def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
         u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * e.matrix
         got, achieved = _nearest(kitaev8, u)
         assert achieved < 1e-12
-        assert got.seq == e.seq
+        assert kitaev8.seqs[got] == e.seq
 
 
 def test_build_net_validates_arguments():
@@ -305,6 +304,25 @@ def test_commutator_halves_are_balanced_and_orthogonal():
         assert abs(float(np.dot(av, aw))) < 1e-8
 
 
+@pytest.mark.parametrize("theta", [1e-6, 0.3, 1.0])
+def test_commutator_on_coordinate_and_commutator_axes(theta):
+    # The coordinate axes, and the axis of the commutator of rotations by
+    # the target's own phi about x and y, (s, -s, c) / r, either way round.
+    phi = 2 * np.arcsin(np.sqrt(np.sin(theta / 4)))
+    s, c = np.sin(phi / 2), np.cos(phi / 2)
+    own = np.array([s, -s, c]) / np.sqrt(1 + s * s)
+    axes = [sign * e for e in (*np.eye(3), own) for sign in (1, -1)]
+    for axis in axes:
+        delta = rotation(axis, theta)
+        v, w = gc_decompose(delta)
+        assert dist(delta, v @ w @ v.conj().T @ w.conj().T) <= COMMUTATOR_TOL
+        tv, av = _angle_axis(_to_su2(v))
+        tw, aw = _angle_axis(_to_su2(w))
+        assert tv == pytest.approx(phi, abs=1e-12)
+        assert tw == pytest.approx(phi, abs=1e-12)
+        assert abs(float(np.dot(av, aw))) < 1e-12
+
+
 def test_commutator_halves_scale_like_square_root():
     rng = np.random.default_rng(24)
     for _ in range(100):
@@ -358,9 +376,9 @@ def test_trace_is_monotone_and_self_consistent(demo12):
 
 def test_depth_zero_trace_is_net_lookup(demo12):
     u = haar_unitary(2, np.random.default_rng(26))
-    entry, d0 = _nearest(demo12, u)
+    k, d0 = _nearest(demo12, u)
     trace = sk_trace(u, SKConfig(net=demo12, eps=1.0, depth=0))
-    assert trace == [(entry.seq, d0)]
+    assert trace == [(demo12.seqs[k], d0)]
 
 
 def test_budget_failure_carries_best(demo12):
