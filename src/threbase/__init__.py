@@ -25,7 +25,6 @@ from .gates import (
 from .io import emit_circuit, emit_net, parse_circuit, parse_net
 from .linalg import dist, haar_unitary, is_unitary, phase_dist
 from .passes import (
-    TranspileReport,
     realify_circuit,
     realify_gate,
     realify_matrix,
@@ -68,7 +67,6 @@ __all__ = [
     "NetEntry",
     "SKConfig",
     "StateVector",
-    "TranspileReport",
     "ValidationError",
     "build_net",
     "check_exact",

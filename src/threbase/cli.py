@@ -107,8 +107,7 @@ def cmd_transpile(args) -> int:
     else:
         keep = REALIFY_ALPHABET if th else ()
         net = _kitaev_net(args) if needs_net(c, keep) else None
-        out, rebase_report = rebase_circuit(c, net, args.eps, keep)
-        error_bound = rebase_report.error_bound
+        out, error_bound = rebase_circuit(c, net, args.eps, keep)
         if th:
             out, _ = realify_circuit(out)
 

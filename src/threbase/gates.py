@@ -162,6 +162,7 @@ class GateSet:
     n_qubits: int
     generators: tuple[tuple[str, Gate], ...]
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
+    _gates: dict = field(default_factory=dict, repr=False, compare=False)
     _matrices: dict = field(default_factory=dict, repr=False, compare=False)
     _inverses: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -181,6 +182,7 @@ class GateSet:
             if not linalg.is_unitary(m):
                 raise ValidationError(f"generator {lab} is not unitary")
             m.setflags(write=False)
+            self._gates[lab] = g
             self._matrices[lab] = m
         for lab, m in self._matrices.items():
             target = m.conj().T
@@ -204,10 +206,10 @@ class GateSet:
             raise ValidationError(f"unknown generator {label!r}") from None
 
     def gate(self, label: str) -> Gate:
-        for lab, g in self.generators:
-            if lab == label:
-                return g
-        raise ValidationError(f"unknown generator {label!r}")
+        try:
+            return self._gates[label]
+        except KeyError:
+            raise ValidationError(f"unknown generator {label!r}") from None
 
     def inverse_labels(self, label: str) -> tuple[str, ...]:
         """Label sequence (application order) realizing the exact inverse."""

@@ -18,11 +18,14 @@ whole gate costs two Toffolis and two Hadamards:
 The H pair cancels when the controls do not fire, which keeps the identity
 exact without controlling the Hadamards.  H and CCX are real, so each
 realifies to itself tensored with the identity on the flag qubit.
+
+Rebasing onto {H, CS} is gate by gate as well.  A gate whose kind has an
+exact word is replaced by the word, read from one table built at import;
+any other gate is approximated by a two-qubit net entry.  Both passes
+return (circuit, error_bound).
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,15 +39,6 @@ _J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
 
 REALIFY_ALPHABET = (GateKind.H, GateKind.CS, GateKind.CCX)
 TARGET_ALPHABET = (GateKind.H, GateKind.CCX)
-
-
-@dataclass(frozen=True)
-class TranspileReport:
-    input_gates: int
-    output_gates: int
-    input_qubits: int
-    output_qubits: int
-    error_bound: float = 0.0
 
 
 def realify_matrix(u) -> np.ndarray:
@@ -72,58 +66,55 @@ def realify_gate(g: Gate, ancilla: int) -> list[Gate]:
     )
 
 
-def realify_circuit(c: Circuit) -> tuple[Circuit, TranspileReport]:
-    """Realify a {H, CS, CCX} circuit onto {H, CCX} with one shared flag qubit."""
+def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
+    """Realify a {H, CS, CCX} circuit onto {H, CCX} with one shared flag qubit.
+
+    Returns (circuit, error_bound) like rebase_circuit; the bound is 0.0,
+    since every gate's expansion is exact.
+    """
     ancilla = c.n_qubits
     out: list[Gate] = []
     for g in c.gates:
         out.extend(realify_gate(g, ancilla))
-    rc = Circuit(c.n_qubits + 1, out)
-    report = TranspileReport(
-        input_gates=len(c),
-        output_gates=len(rc),
-        input_qubits=c.n_qubits,
-        output_qubits=rc.n_qubits,
-        error_bound=0.0,
-    )
-    return rc, report
+    return Circuit(c.n_qubits + 1, out), 0.0
 
 
-# Exact expansions over {H, CS}, in application order.  The single-qubit
-# X, Z, S and SDG have exact words too (S on qubit 0 is the word
-# H1 CS H1 CS CS H1 CS H1 CS CS), but they go through the approximation
-# route until exact synthesis of two-qubit Clifford+CS words lands.
+# Exact words over {H, CS}, in application order.  Slot i of a word is
+# operand i of the gate it rewrites, so CNOT(a, b) becomes H(b) CS(a, b)
+# CS(a, b) H(b).  X, Z, S and SDG have exact words too (S on qubit q with
+# partner p is Hp CS Hp CS CS Hp CS Hp CS CS), but they still go through
+# the net: their words are several times longer than the gates they
+# replace, and exact verification of the longer output is slower.
+_EXACT_WORDS: dict[GateKind, tuple[tuple[GateKind, tuple[int, ...]], ...]] = {
+    GateKind.H: ((GateKind.H, (0,)),),
+    GateKind.CS: ((GateKind.CS, (0, 1)),),
+    GateKind.CZ: ((GateKind.CS, (0, 1)),) * 2,
+    GateKind.CSDG: ((GateKind.CS, (0, 1)),) * 3,
+    GateKind.CNOT: (
+        (GateKind.H, (1,)),
+        (GateKind.CS, (0, 1)),
+        (GateKind.CS, (0, 1)),
+        (GateKind.H, (1,)),
+    ),
+}
+
+
 def rebase_exact(g: Gate) -> list[Gate] | None:
-    kind = g.kind
-    if kind is GateKind.H or kind is GateKind.CS:
-        return [g]
-    if kind is GateKind.CZ:
-        cs = Gate(GateKind.CS, g.qubits)
-        return [cs, cs]
-    if kind is GateKind.CSDG:
-        cs = Gate(GateKind.CS, g.qubits)
-        return [cs, cs, cs]
-    if kind is GateKind.CNOT:
-        a, b = g.qubits
-        h = Gate(GateKind.H, (b,))
-        cs = Gate(GateKind.CS, (a, b))
-        return [h, cs, cs, h]
-    return None
-
-
-def _exact_rewrite(g: Gate, keep) -> list[Gate] | None:
-    """[g] when its kind is kept, else its exact {H, CS} word; None when g
-    has to be approximated from a net."""
-    if g.kind in keep:
-        return [g]
-    if g.kind is GateKind.GENERIC:
+    """g's exact {H, CS} word on its own qubits, or None when it has none."""
+    word = _EXACT_WORDS.get(g.kind)
+    if word is None:
         return None
-    return rebase_exact(g)
+    return [Gate(kind, tuple(g.qubits[i] for i in slots)) for kind, slots in word]
+
+
+def _pending(c: Circuit, keep) -> int:
+    """Gates of c that are neither kept nor exactly rewritten."""
+    return sum(g.kind not in keep and g.kind not in _EXACT_WORDS for g in c.gates)
 
 
 def needs_net(c: Circuit, keep=()) -> bool:
     """Whether rebase_circuit(c, net, eps, keep) searches the net at all."""
-    return any(_exact_rewrite(g, keep) is None for g in c.gates)
+    return _pending(c, keep) > 0
 
 
 def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]:
@@ -148,14 +139,16 @@ def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]
 
 def rebase_circuit(
     c: Circuit, net: "sk_mod.Net | None", eps: float, keep=()
-) -> tuple[Circuit, TranspileReport]:
-    """Rewrite a circuit over {H, CS}, approximating where no identity exists.
+) -> tuple[Circuit, float]:
+    """Rewrite a circuit over {H, CS}; returns (circuit, error_bound).
 
-    Gates whose kind is in `keep` pass through unchanged; the th route keeps
-    CCX, which realification accepts as it is.  net may be None when
-    needs_net(c, keep) is false.  The accuracy budget eps is
-    split uniformly over the gates that need approximation; error_bound is
-    the sum of achieved distances.
+    Each gate takes one of three routes, in circuit order: a kind in `keep`
+    passes through unchanged (the th route keeps CCX, which realification
+    accepts as it is), a kind with an exact word is replaced by it, and any
+    other gate is approximated by its nearest net entry.  net may be None
+    when needs_net(c, keep) is false.  The accuracy budget eps is split
+    uniformly over the approximated gates; error_bound is the sum of their
+    achieved distances.
 
     The net is searched once per distinct target matrix in this call: X on
     qubit 0 and X on qubit 2 both approximate kron(X, I) on their own pair.
@@ -164,25 +157,21 @@ def rebase_circuit(
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    plans: list[list[Gate] | Gate] = []
-    pending = 0
-    for g in c.gates:
-        seq = _exact_rewrite(g, keep)
-        if seq is None:
-            plans.append(g)
-            pending += 1
-        else:
-            plans.append(seq)
-
+    pending = _pending(c, keep)
     budget = eps / pending if pending else eps
     out: list[Gate] = []
     total_err = 0.0
     searched: dict[bytes, tuple[tuple[str, ...], float]] = {}
-    for plan in plans:
-        if isinstance(plan, list):
-            out.extend(plan)
+    for g in c.gates:
+        if g.kind in keep:
+            out.append(g)
             continue
-        target, pair = _approx_target(plan, c.n_qubits)
+        # A GENERIC gate is its own matrix; only named kinds are looked up.
+        word = None if g.kind is GateKind.GENERIC else rebase_exact(g)
+        if word is not None:
+            out.extend(word)
+            continue
+        target, pair = _approx_target(g, c.n_qubits)
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
@@ -191,23 +180,14 @@ def rebase_circuit(
         seq, achieved = found
         if achieved > budget:
             raise BudgetNotMet(
-                f"best approximation of {plan.kind.value} on {plan.qubits} "
+                f"best approximation of {g.kind.value} on {g.qubits} "
                 f"reaches {achieved:.3e}, above the per-gate budget {budget:.3e}",
                 best_seq=seq,
                 achieved=achieved,
             )
         out.extend(_emit_kitaev(seq, pair, net))
         total_err += achieved
-
-    rc = Circuit(c.n_qubits, out)
-    report = TranspileReport(
-        input_gates=len(c),
-        output_gates=len(rc),
-        input_qubits=c.n_qubits,
-        output_qubits=c.n_qubits,
-        error_bound=total_err,
-    )
-    return rc, report
+    return Circuit(c.n_qubits, out), total_err
 
 
 def _emit_kitaev(seq, pair: tuple[int, int], net: "sk_mod.Net") -> list[Gate]:

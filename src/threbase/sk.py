@@ -396,13 +396,15 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError("gc_decompose handles dimension 2 only")
     if not is_unitary(delta):
         raise ValidationError("gc_decompose requires a unitary input")
-    gap = dist(delta, np.eye(2))
+    theta, axis = _angle_axis(_to_su2(delta))
+    # A rotation by theta in [0, pi] has eigenphases +-theta/2, an arc of
+    # width theta, so dist(delta, I) = 2 sin(theta/4).
+    gap = 2.0 * np.sin(theta / 4.0)
     if gap > GC_MAX_DIST:
         raise ValidationError(
             f"gc_decompose needs dist(delta, I) <= {GC_MAX_DIST}, got {gap:.3f}"
         )
     eye = np.eye(2, dtype=complex)
-    theta, axis = _angle_axis(_to_su2(delta))
     if axis is None or theta <= 2e-10:
         return eye, eye
 

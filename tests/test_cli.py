@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -121,6 +122,25 @@ def test_transpile_th_passes_ccx_through(capsys, tmp_path, kitaev_net_file):
     # The kitaev target has no CCX and still refuses it.
     assert main(["transpile", f, "--to", "kitaev", "--net", kitaev_net_file]) == 2
     assert "3-qubit gate" in capsys.readouterr().err
+
+
+GOLDEN = Path(__file__).parent / "data" / "transpile"
+
+
+@pytest.mark.parametrize("name, to", [
+    ("mixed", "kitaev"), ("mixed", "th"), ("mixed_ccx", "th"), ("h_ccx", "th"),
+])
+def test_transpile_golden_bytes(capsys, tmp_path, name, to):
+    # The inputs take every route: pass-through (H, CS, and a whole
+    # {H, CCX} circuit on th), the exact words in both operand orders, net
+    # search (X and S on qubits 0 and 2, one two-qubit GENERIC) and CCX kept
+    # on th.  The expected files are the output of the code as it stood
+    # before transpile was reduced to one word table and one loop.
+    out_path = tmp_path / "out.json"
+    src = str(GOLDEN / f"{name}.in.json")
+    assert main(["transpile", src, "--to", to, "--eps", "10", "-o", str(out_path)]) == 0
+    assert capsys.readouterr().out == (GOLDEN / f"{name}.{to}.report").read_text()
+    assert out_path.read_bytes() == (GOLDEN / f"{name}.{to}.out.json").read_bytes()
 
 
 @pytest.mark.parametrize("to, mode", [("th", "realified"), ("kitaev", "exact")],

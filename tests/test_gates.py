@@ -97,6 +97,10 @@ def test_kitaev_set_embeds_generators():
     assert np.allclose(gs.matrix("H0"), np.kron(h, np.eye(2)), atol=1e-15)
     assert np.allclose(gs.matrix("H1"), np.kron(np.eye(2), h), atol=1e-15)
     assert np.array_equal(gs.matrix("CS"), CS)
+    for lab, g in gs.generators:
+        assert gs.gate(lab) is g
+    with pytest.raises(ValidationError, match="^unknown generator 'T'$"):
+        gs.gate("T")
 
 
 def test_inverse_labels_by_powering():

@@ -21,7 +21,7 @@ from threbase import (
 )
 from threbase import io, sk
 from threbase.errors import CapExceeded, ValidationError
-from threbase.sk import COMMUTATOR_TOL, NetEntry, _angle_axis, _nearest, _to_su2
+from threbase.sk import COMMUTATOR_TOL, GC_MAX_DIST, NetEntry, _angle_axis, _nearest, _to_su2
 
 CS4 = np.diag([1, 1, 1, 1j])
 
@@ -340,6 +340,26 @@ def test_commutator_preconditions():
         gc_decompose(np.eye(4))
     with pytest.raises(ValidationError):
         gc_decompose(np.array([[1, 1], [0, 1]], dtype=complex))
+
+
+def test_commutator_threshold_agrees_with_dist():
+    # dist(delta, I) = 2 sin(theta/4) reaches GC_MAX_DIST at the angle
+    # below; a hair either side, gc_decompose refuses exactly the rotations
+    # that dist puts above the threshold, whatever the axis or global phase.
+    edge = 4 * np.arcsin(GC_MAX_DIST / 2)
+    refused = []
+    for angle in (edge - 1e-6, edge + 1e-6):
+        for axis in ([0, 0, 1], [1, -2, 0.5]):
+            delta = np.exp(0.7j) * rotation(axis, angle)
+            above = dist(delta, np.eye(2)) > GC_MAX_DIST
+            refused.append(above)
+            if above:
+                with pytest.raises(ValidationError, match="dist"):
+                    gc_decompose(delta)
+            else:
+                v, w = gc_decompose(delta)
+                assert dist(delta, v @ w @ v.conj().T @ w.conj().T) <= COMMUTATOR_TOL
+    assert refused == [False, False, True, True]
 
 
 # --- recursion ------------------------------------------------------------
