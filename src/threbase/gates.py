@@ -162,9 +162,9 @@ class GateSet:
     n_qubits: int
     generators: tuple[tuple[str, Gate], ...]
     labels: tuple[str, ...] = field(init=False, repr=False, compare=False)
-    _gates: dict = field(default_factory=dict, repr=False, compare=False)
-    _matrices: dict = field(default_factory=dict, repr=False, compare=False)
-    _inverses: dict = field(default_factory=dict, repr=False, compare=False)
+    _gates: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _matrices: dict = field(init=False, default_factory=dict, repr=False, compare=False)
+    _inverses: dict = field(init=False, default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         from .circuit import embed  # local import to avoid a cycle

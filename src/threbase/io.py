@@ -60,7 +60,7 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(_is_int(v) or isinstance(v, float) for v in pair)
         ):
             raise ValidationError(f"{where}: matrix[{j}] must be a [re, im] pair")
         flat.append(complex(pair[0], pair[1]))
@@ -84,7 +84,7 @@ def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
         ) from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object")
-    if doc.get("version") != version:
+    if not _is_int(doc.get("version")) or doc["version"] != version:
         raise ValidationError(
             f"unsupported {what} version {doc.get('version')!r}, expected {version}{remedy}"
         )
@@ -129,7 +129,7 @@ def _parse_gate(raw, where: str) -> Gate:
     except ValueError:
         raise ValidationError(f"{where}: unknown gate name {name!r}") from None
     qs = raw.get("qubits")
-    if not isinstance(qs, list) or not all(isinstance(q, int) for q in qs):
+    if not isinstance(qs, list) or not all(_is_int(q) for q in qs):
         raise ValidationError(f"{where}: qubits must be a list of integers")
     matrix = None
     if "matrix" in raw:

@@ -3,24 +3,28 @@
 The simulator applies each gate as a local update on the amplitude tensor,
 never forming the 2^n x 2^n embedded matrix.  A gate whose matrix is a
 permutation (one entry per row, exactly 1: CCX, CNOT, X, or such a GENERIC
-matrix) moves the slices it permutes through basic-index views, with no
-matmul and no full copy; any other gate is an axis permutation plus a
-small matmul.  When every gate matrix is real, as on every circuit that
-`transpile --to th` emits, the state is float64 and the matmuls use the
-real parts; otherwise it is complex.  The route follows from the
+matrix) copies each slice it moves to its new place through basic-index
+views, with no matmul and no full copy; any other gate is an axis
+permutation plus a small matmul.  When every gate matrix is real, as on
+every circuit that `transpile --to th` emits, the state is float64 and
+the matmuls use the real parts; otherwise it is complex.  The route follows from the
 matrices, not from an option.  That keeps the simulator an independent
 oracle against circuit_unitary, which gathers rows of a running matrix:
 the two routes share no state-update or index code, so their agreement
 is a real check rather than a tautology.
 
 The tensor carries a trailing batch axis, shape (2,)*n + (B,), so one pass
-over the gates applies the circuit to B basis inputs at once.  The
-checkers push all of their inputs through in chunks of at most
-BATCH_AMPLITUDES amplitudes, and `run` is a batch of one.
+over the gates applies the circuit to B basis inputs at once, and `run`
+is a batch of one.
 
 Realified circuits carry the ancilla as the last (least significant)
 qubit, so a complex map U on n qubits is validated against
-|i>|0> -> (Re U|i>)|0> + (Im U|i>)|1> for every basis input i.
+|i>|0> -> (Re U|i>)|0> + (Im U|i>)|1> for every basis input i.  Both
+flag-qubit checks (realified and measurement-stats) read one loop,
+`_flag_outputs`: it checks the tolerance, the widths and the cap, builds
+U and yields its columns beside the simulated outputs in chunks of at
+most BATCH_AMPLITUDES amplitudes, and each check turns a chunk into
+deviations.
 """
 
 from __future__ import annotations
@@ -103,12 +107,12 @@ def _report(kind: str, deviations, tol: float, worst: int | None) -> Equivalence
 
 
 def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
-    """Cycles of basic indices for a permutation matrix, else None.
+    """(destination, source) basic indices for a permutation matrix, else None.
 
     m is a permutation when each row has exactly one nonzero entry, that
     entry is exactly 1, and no two rows take the same column.  Output slice
-    r of the operand axes is then input slice src[r], so following each
-    cycle of src moves the slices it permutes and leaves fixed points alone.
+    r of the operand axes is then input slice src[r]; fixed points, where
+    src[r] == r, need no move and are left out.
     """
     src = []
     for row in m.tolist():
@@ -128,24 +132,15 @@ def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
             idx[q] = bit
         return tuple(idx)
 
-    cycles, seen = [], set()
-    for start, s in enumerate(src):
-        if start in seen or s == start:
-            continue
-        cycle = [start]
-        while src[cycle[-1]] != start:
-            cycle.append(src[cycle[-1]])
-        seen.update(cycle)
-        cycles.append([index(r) for r in cycle])
-    return cycles
+    return [(index(r), index(s)) for r, s in enumerate(src) if r != s]
 
 
-def _apply_moves(psi: np.ndarray, cycles) -> np.ndarray:
-    for cycle in cycles:
-        first = psi[cycle[0]].copy()
-        for dst, src in zip(cycle, cycle[1:]):
-            psi[dst] = psi[src]
-        psi[cycle[-1]] = first
+def _apply_moves(psi: np.ndarray, moves) -> np.ndarray:
+    # Copy every source before writing any destination, so a slice that is
+    # both read and written is read as it was.
+    slabs = [psi[src].copy() for _, src in moves]
+    for (dst, _), slab in zip(moves, slabs):
+        psi[dst] = slab
     return psi
 
 
@@ -170,11 +165,11 @@ def _simulate(c: Circuit, basis_indices: np.ndarray) -> np.ndarray:
     real = not any(np.any(m.imag) for m in mats.values())
     plans = {}
     for g, m in mats.items():
-        cycles = _slice_moves(m, g.qubits, n)
-        if cycles is None:
+        moves = _slice_moves(m, g.qubits, n)
+        if moves is None:
             plans[g] = partial(_apply_matrix, m=m.real if real else m, qubits=g.qubits)
         else:
-            plans[g] = partial(_apply_moves, cycles=cycles)
+            plans[g] = partial(_apply_moves, moves=moves)
     psi = np.zeros((2**n, batch), dtype=float if real else complex)
     psi[basis_indices, np.arange(batch)] = 1.0
     psi = psi.reshape((2,) * n + (batch,))
@@ -190,14 +185,6 @@ def _simulate(c: Circuit, basis_indices: np.ndarray) -> np.ndarray:
             f"is not 1 within {NORM_ATOL}"
         )
     return out
-
-
-def _batched_outputs(c: Circuit, inputs: np.ndarray):
-    """Yield (start, outputs) over chunks of at most BATCH_AMPLITUDES
-    amplitudes, where outputs[:, j] is c applied to inputs[start + j]."""
-    size = max(1, BATCH_AMPLITUDES >> c.n_qubits)
-    for start in range(0, len(inputs), size):
-        yield start, _simulate(c, inputs[start : start + size])
 
 
 def run(c: Circuit, basis_index: int, max_qubits: int = MAX_QUBITS) -> StateVector:
@@ -224,8 +211,15 @@ def check_exact(
     return _report("exact-unitary", [d], tol, None)
 
 
-def _realified_pair(original: Circuit, realified: Circuit, max_qubits: int):
-    """U of the original, after both widths are checked against the cap."""
+def _flag_outputs(original: Circuit, realified: Circuit, tol: float, max_qubits: int):
+    """Yield (U columns, outputs) for the flag-qubit checks, in chunks of at
+    most BATCH_AMPLITUDES amplitudes.
+
+    U is the original's unitary; outputs[:, j] is the realified circuit
+    applied to |i>|0>, where i is the index of U's j-th column in the chunk.
+    The tolerance, the widths and the cap are checked first, in that order.
+    """
+    _check_tol(tol)
     if realified.n_qubits != original.n_qubits + 1:
         raise ValidationError(
             f"realified circuit must have exactly one extra qubit: "
@@ -234,7 +228,11 @@ def _realified_pair(original: Circuit, realified: Circuit, max_qubits: int):
     # The wider circuit sets the limit; checking it before circuit_unitary
     # means an original at the cap fails before its 2**n unitary is built.
     _check_cap(realified.n_qubits, max_qubits)
-    return circuit_unitary(original, max_qubits)
+    u = circuit_unitary(original, max_qubits)
+    size = max(1, BATCH_AMPLITUDES >> realified.n_qubits)
+    for start in range(0, u.shape[1], size):
+        cols = u[:, start : start + size]
+        yield cols, _simulate(realified, 2 * np.arange(start, start + cols.shape[1]))
 
 
 def check_realified(
@@ -244,23 +242,19 @@ def check_realified(
     max_qubits: int = MAX_QUBITS,
 ) -> EquivalenceReport:
     """Basis-by-basis check of |i>|0> -> (Re U|i>)|0> + (Im U|i>)|1>."""
-    _check_tol(tol)
-    u = _realified_pair(original, realified, max_qubits)
-    deviations = np.empty(u.shape[1])
-    for start, got in _batched_outputs(realified, 2 * np.arange(len(deviations))):
-        cols = slice(start, start + got.shape[1])
+    deviations = []
+    for u, got in _flag_outputs(original, realified, tol, max_qubits):
         expected = np.empty(got.shape)
-        expected[0::2] = u[:, cols].real
-        expected[1::2] = u[:, cols].imag
+        expected[0::2] = u.real
+        expected[1::2] = u.imag
         # One norm per contiguous row sums each input's difference in the
         # same order whatever the chunk size, so deviations (and the argmax
         # among near-equal ones) do not depend on BATCH_AMPLITUDES.  The rows
         # are complex even after a float64 pass, so the norm sums them the
         # same way on both simulator routes.
         diff = np.ascontiguousarray((got - expected).T, dtype=complex)
-        deviations[cols] = [np.linalg.norm(row) for row in diff]
-    worst = int(np.argmax(deviations))
-    return _report("realified", deviations.tolist(), tol, worst)
+        deviations += [float(np.linalg.norm(row)) for row in diff]
+    return _report("realified", deviations, tol, int(np.argmax(deviations)))
 
 
 def check_measurement_stats(
@@ -270,13 +264,8 @@ def check_measurement_stats(
     max_qubits: int = MAX_QUBITS,
 ) -> EquivalenceReport:
     """Outcome distributions on the original qubits, flag qubit marginalized."""
-    _check_tol(tol)
-    u = _realified_pair(original, realified, max_qubits)
-    deviations = np.empty(u.shape[1])
-    for start, amps in _batched_outputs(realified, 2 * np.arange(len(deviations))):
-        cols = slice(start, start + amps.shape[1])
+    deviations = []
+    for u, amps in _flag_outputs(original, realified, tol, max_qubits):
         p_real = np.abs(amps[0::2]) ** 2 + np.abs(amps[1::2]) ** 2
-        p_orig = np.abs(u[:, cols]) ** 2
-        deviations[cols] = np.max(np.abs(p_real - p_orig), axis=0)
-    worst = int(np.argmax(deviations))
-    return _report("measurement-stats", deviations.tolist(), tol, worst)
+        deviations += np.max(np.abs(p_real - np.abs(u) ** 2), axis=0).tolist()
+    return _report("measurement-stats", deviations, tol, int(np.argmax(deviations)))

@@ -375,6 +375,48 @@ def test_qubit_cap_env_override(capsys, monkeypatch, tmp_path):
     assert "must be an integer" in capsys.readouterr().err
 
 
+@pytest.fixture()
+def wide_files(tmp_path):
+    """A 12-qubit original, its 13-qubit th output and a 13-qubit circuit."""
+    c12 = write_circuit(
+        tmp_path / "c12.json", Circuit(12, [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (0, 11))])
+    )
+    t12 = str(tmp_path / "t12.json")
+    assert main(["transpile", c12, "--to", "th", "-o", t12]) == 0
+    c13 = write_circuit(tmp_path / "c13.json", Circuit(13, [Gate(GateKind.H, (0,))]))
+    return c12, t12, c13
+
+
+@pytest.mark.parametrize("args", [
+    ["verify", "{c12}", "{t12}", "--mode", "realified"],
+    ["verify", "{c12}", "{t12}", "--mode", "stats"],
+    ["verify", "{c13}", "{c13}", "--mode", "exact"],
+    ["simulate", "{c13}", "--input", "0" * 13],
+])
+def test_default_cap_exits_3(capsys, monkeypatch, wide_files, args):
+    monkeypatch.delenv("TH_REBASE_MAX_QUBITS", raising=False)
+    c12, t12, c13 = wide_files
+    capsys.readouterr()
+    assert main([a.format(c12=c12, t12=t12, c13=c13) for a in args]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 13 qubits exceeds the dense-matrix cap of 12\n"
+
+
+@pytest.mark.parametrize("gate, message", [
+    ('{"name":"CS","qubits":[false,true]}', "qubits must be a list of integers"),
+    ('{"name":"GENERIC","qubits":[0],"matrix":[[true,0],[0,0],[0,0],[1,0]]}',
+     "matrix[0] must be a [re, im] pair"),
+])
+def test_transpile_refuses_json_booleans(capsys, tmp_path, gate, message):
+    f = tmp_path / "bool.json"
+    f.write_text('{"version":1,"qubits":2,"gates":[' + gate + "]}")
+    assert main(["transpile", str(f), "--to", "th"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: gates[0]: {message}\n"
+
+
 def test_usage_error_from_argparse():
     with pytest.raises(SystemExit) as e:
         main(["transpile", "x.json"])

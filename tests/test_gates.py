@@ -175,6 +175,16 @@ def test_gateset_rejects_duplicate_labels():
         )
 
 
+@pytest.mark.parametrize("name", ["_gates", "_matrices", "_inverses"])
+def test_gateset_tables_are_not_parameters(name):
+    # A caller's dict passed here would be filled in place and shared.
+    shared = {}
+    gens = (("H", Gate(GateKind.H, (0,))),)
+    with pytest.raises(TypeError, match=name):
+        GateSet("a", 1, gens, **{name: shared})
+    assert shared == {}
+
+
 def test_gateset_rejects_out_of_domain_generators():
     with pytest.raises(ValidationError):
         GateSet(

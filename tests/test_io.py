@@ -67,6 +67,9 @@ def test_malformed_json_reports_position():
 def test_circuit_version_and_shape_errors():
     with pytest.raises(ValidationError, match="version"):
         parse_circuit('{"version":2,"qubits":1,"gates":[]}')
+    for version in ("true", "1.0"):
+        with pytest.raises(ValidationError, match="unsupported circuit file version"):
+            parse_circuit('{"version":' + version + ',"qubits":1,"gates":[]}')
     with pytest.raises(ValidationError, match="JSON object"):
         parse_circuit("[1,2]")
     with pytest.raises(ValidationError, match="positive integer"):
@@ -202,6 +205,15 @@ T_PAIRS = "[[1,0],[0,0],[0,0],[0.70710678118654757,0.70710678118654746]]"
     [
         ('{"name":"H","qubits":[1]}', '{"name":"H","qubits":[1.0]}',
          "qubits must be a list of integers"),
+        # bool is an int subclass: unchecked, [true] would read as qubit 1
+        # and [true,0] as the amplitude 1+0j.
+        ('{"name":"H","qubits":[1]}', '{"name":"H","qubits":[true]}',
+         "qubits must be a list of integers"),
+        ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[false,true]}',
+         "qubits must be a list of integers"),
+        ('{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS + "}",
+         '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS.replace("[1,0]", "[true,0]") + "}",
+         "matrix[0] must be a [re, im] pair"),
         ('{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS + "}",
          '{"name":"GENERIC","qubits":[0],"matrix":'
          + T_PAIRS.replace("[0.70710678118654757,", '["0.70710678118654757",') + "}",
@@ -224,7 +236,7 @@ def test_interned_gates_equal_freshly_built_ones():
     # zero must each keep their own fields.
     variants = [
         '{"name":"H","qubits":[1]}',
-        '{"name":"H","qubits":[true]}',
+        '{"qubits":[1],"name":"H"}',
         '{"name":"CS","qubits":[1,0]}',
         '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS + "}",
         '{"name":"GENERIC","qubits":[0],"matrix":' + T_PAIRS.replace("[0,0]", "[0,-0.0]") + "}",
