@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 
 import numpy as np
@@ -45,12 +46,11 @@ def _cap() -> int:
     raw = os.environ.get("TH_REBASE_MAX_QUBITS")
     if raw is None:
         return MAX_QUBITS
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"TH_REBASE_MAX_QUBITS must be an integer, got {raw!r}"
-        ) from None
+    # ASCII digits only: int() would also read "1_2", "+12", " 12" and
+    # other scripts' digits.
+    if not re.fullmatch(r"-?[0-9]+", raw):
+        raise ValidationError(f"TH_REBASE_MAX_QUBITS must be an integer, got {raw!r}")
+    cap = int(raw)
     if cap < 1:
         raise ValidationError(f"TH_REBASE_MAX_QUBITS must be >= 1, got {cap}")
     return cap

@@ -3,7 +3,8 @@
 A net is a deduplicated table of all products of at most L generators,
 held as two parallel columns: the entries' label sequences (application
 order) and one contiguous, read-only (N, d, d) stack of their matrices,
-which the search scans in one batched call.  Dedup keeps the first
+which the search scans in one batched call.  The stack is the net's only
+copy of its matrices: overlaps conjugate the target.  Dedup keeps the first
 sequence found in breadth-first order, so entries are shortest-first,
 every entry's sequence minus its last label is an earlier entry, and net
 construction is fully deterministic.  Those two properties let
@@ -72,7 +73,8 @@ class Net:
     """Immutable entry table over a gate set.
 
     seqs[i] is entry i's label sequence and stack[i] its matrix; the stack
-    is one read-only (N, d, d) array.  NetEntry objects are made only on
+    is one read-only (N, d, d) array, held once: searches conjugate their
+    target, not the stack.  NetEntry objects are made only on
     request: `entries` builds them all on first read, and `nearest` makes
     one for its winner; the search itself returns an index.
     """
@@ -99,8 +101,6 @@ class Net:
             )
         stack.flags.writeable = False
         self.stack = stack
-        self._conj_stack: np.ndarray | None = None
-        self._absdet_stack: np.ndarray | None = None
 
     def __len__(self) -> int:
         return len(self.seqs)
@@ -113,17 +113,10 @@ class Net:
     def entries(self) -> tuple[NetEntry, ...]:
         return tuple(map(NetEntry, self.seqs, self.stack))
 
-    def conj_stack(self) -> np.ndarray:
-        if self._conj_stack is None:
-            self._conj_stack = np.conj(self.stack)
-            self._conj_stack.flags.writeable = False
-        return self._conj_stack
-
+    @cached_property
     def absdet_stack(self) -> np.ndarray:
-        if self._absdet_stack is None:
-            c = self.conj_stack()
-            self._absdet_stack = np.abs(c[:, 0, 0] * c[:, 1, 1] - c[:, 0, 1] * c[:, 1, 0])
-        return self._absdet_stack
+        s = self.stack
+        return np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
 
 
 def build_net(
@@ -284,15 +277,21 @@ def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarra
 
     frob, the Frobenius distance minimized over phase, has
     dist <= frob <= sqrt(d) dist: frob < tol decides a duplicate at once,
-    and only pairs with tol <= frob < sqrt(d) tol need the eigenphase kernel.
+    and the pairs with tol <= frob < sqrt(d) tol share one eigenphase call.
     """
     d = later.shape[-1]
     overlap = np.abs(np.einsum("nij,nij->n", np.conj(earlier), later))
     frob = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0))
     hit = frob < tol
-    for k in np.flatnonzero(~hit & (frob < tol * np.sqrt(d))):
-        hit[k] = dist(earlier[k], later[k]) < tol
+    band = np.flatnonzero(~hit & (frob < tol * np.sqrt(d)))
+    if len(band):
+        hit[band] = _row_dists(earlier[band], later[band]) < tol
     return hit
+
+
+def _row_dists(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """dist(rows[k], u), u one matrix or one per row, from rows[k]^dag u."""
+    return phase_dist(np.swapaxes(np.conj(rows), -1, -2) @ u)
 
 
 _TIE_TOL = 1e-12
@@ -315,34 +314,34 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[int, float]:
         raise ValidationError("nearest-entry search needs a unitary target")
     d = net.dim
     seqs = net.seqs
+    # |tr(e^dag u)| for every entry e, the conjugate taken on the one target.
+    overlap = np.abs(np.einsum("nij,ij->n", net.stack, np.conj(u)))
     if d == 2:
         # Same closed form as dist() on unitary 2x2 pairs, over all entries
-        # at once: tr(e^dag u) and |det| give the folded eigenphase gap.
-        tr = np.einsum("nij,ij->n", net.conj_stack(), u)
+        # at once: the overlap and |det| give the folded eigenphase gap.
         absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-        folded = np.minimum(1.0, np.abs(tr) / (2.0 * np.sqrt(net.absdet_stack() * absdet_u)))
+        folded = np.minimum(1.0, overlap / (2.0 * np.sqrt(net.absdet_stack * absdet_u)))
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
-        ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
-        best = min(ties.tolist(), key=lambda i: (len(seqs[i]), seqs[i]))
-        if dists[best] < CLOSED_FORM_MIN:
-            # Near-exact hits sit in the closed form's cancellation regime;
-            # report the achieved distance at full absolute accuracy.
-            return best, dist(net.stack[best], u)
-        return best, float(dists[best])
-    # Frobenius lower bound f / sqrt(d) <= dist for every entry; the entry
-    # with the smallest bound gives an upper bound on the minimum, and only
-    # entries whose lower bound reaches it go through the eigenphase kernel.
-    # The slack covers the cancellation in 2d - 2|overlap| (about sqrt(d eps)).
-    conj = net.conj_stack()
-    overlap = np.abs(np.einsum("nij,ij->n", conj, u))
-    lower = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0) / d)
-    first = int(np.argmin(lower))
-    upper = phase_dist(conj[first].T @ u)
-    cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
-    dists = phase_dist(np.swapaxes(conj[cand], -1, -2) @ u)
-    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL).tolist()
-    best = min(ties, key=lambda i: (len(seqs[cand[i]]), seqs[cand[i]]))
-    return int(cand[best]), float(dists[best])
+        cand = np.arange(len(net))
+    else:
+        # Frobenius lower bound f / sqrt(d) <= dist for every entry; the
+        # smallest bound's entry gives an upper bound on the minimum, and
+        # only entries whose lower bound reaches it go through the kernel,
+        # with slack for the cancellation in 2d - 2|overlap| (~sqrt(d eps)).
+        lower = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0) / d)
+        upper = _row_dists(net.stack[int(np.argmin(lower))], u)
+        cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
+        dists = _row_dists(net.stack[cand], u)
+    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
+    best, achieved = min(
+        zip(cand[ties].tolist(), dists[ties].tolist()),
+        key=lambda pair: (len(seqs[pair[0]]), seqs[pair[0]]),
+    )
+    if d == 2 and achieved < CLOSED_FORM_MIN:
+        # Near-exact hits sit in the closed form's cancellation regime;
+        # report the achieved distance at full absolute accuracy.
+        achieved = dist(net.stack[best], u)
+    return best, achieved
 
 
 def nearest(net: Net, u) -> NetEntry:

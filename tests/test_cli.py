@@ -370,9 +370,15 @@ def test_qubit_cap_env_override(capsys, monkeypatch, tmp_path):
     monkeypatch.setenv("TH_REBASE_MAX_QUBITS", "2")
     assert main(["simulate", f, "--input", "000"]) == 3
     assert capsys.readouterr().err.startswith("error:")
-    monkeypatch.setenv("TH_REBASE_MAX_QUBITS", "abc")
-    assert main(["simulate", f, "--input", "000"]) == 2
-    assert "must be an integer" in capsys.readouterr().err
+    # int() reads all but "abc" and "12.0" as a number; none is a plain integer.
+    for raw in ("abc", "12.0", "1_2", "+12", " 12", "12\n", "\u0661\u0662"):
+        monkeypatch.setenv("TH_REBASE_MAX_QUBITS", raw)
+        assert main(["simulate", f, "--input", "000"]) == 2
+        assert "must be an integer" in capsys.readouterr().err
+    for raw in ("0", "-3"):
+        monkeypatch.setenv("TH_REBASE_MAX_QUBITS", raw)
+        assert main(["simulate", f, "--input", "000"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
 
 @pytest.fixture()

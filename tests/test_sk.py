@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -117,6 +120,45 @@ def test_chunked_build_matches_naive_reference(monkeypatch):
     assert_same_entries(got, naive_net(gs, 6, got.dedupe_tol))
 
 
+def band_pairs(d, tol, rng):
+    """Pairs (a, b) of unitaries with phase-free Frobenius distance in
+    [tol, 2 tol), where _duplicates must consult the eigenphases.
+
+    b = a q diag(e^{i theta}) q^dag with eigenphases theta = (+-w/2, +-x),
+    0 <= x <= w/2, so dist(a, b) = 2 sin(w/4) and frob runs from sqrt(2)
+    to 2 times that as x goes from 0 to w/2.
+    """
+    pairs = []
+    while len(pairs) < 60:
+        # Many of the distances lie within a few parts in 1e7 of tol.
+        target = tol * (1 + rng.choice([-1, 1]) * 10 ** rng.uniform(-7, -0.5))
+        w = 4 * np.arcsin(target / 2)
+        x = w / 2 * rng.uniform() if d == 4 else w / 2
+        theta = np.array([w / 2, -w / 2, x, -x])[:d]
+        frob = np.sqrt(2 * d - 2 * abs(np.exp(1j * theta).sum()))
+        if not tol <= frob < 2 * tol:
+            continue
+        a, q = haar_unitary(d, rng), haar_unitary(d, rng)
+        pairs.append((a, a @ (q * np.exp(1j * theta)) @ q.conj().T))
+    return np.array([a for a, _ in pairs]), np.array([b for _, b in pairs])
+
+
+@pytest.mark.parametrize("d", [2, 4])
+@pytest.mark.parametrize("tol", [1e-3, 0.05])
+def test_duplicates_decides_the_band_by_dist(monkeypatch, d, tol):
+    # No standard build sends a dimension-4 pair through the band, so the
+    # pairs are made to order.  At d = 2 frob = sqrt(2) dist, so the band
+    # holds duplicates only, and the pairs past it are decided by frob.
+    a, b = band_pairs(d, tol, np.random.default_rng(41))
+    want = np.array([dist(x, y) < tol for x, y in zip(a, b)])
+    assert want.any() and not want.all()
+    assert sk._duplicates(a, b, tol).tolist() == want.tolist()
+    # An empty band makes no eigenphase call.
+    monkeypatch.setattr(sk, "phase_dist", None)
+    assert sk._duplicates(a[:0], b[:0], tol).tolist() == []
+    assert sk._duplicates(a, 1j * a, tol).all()
+
+
 def test_net_entries_respect_dedupe_gap():
     net = build_net(kitaev_gate_set(), 3)
     ms = [e.matrix for e in net.entries]
@@ -160,9 +202,6 @@ def test_nearest_finds_generators_and_validates():
 def test_net_stack_is_one_read_only_array(gateset, length):
     built = build_net(gateset(), length)
     for net in (built, io.parse_net(io.emit_net(built))):
-        want = np.conj(np.stack([e.matrix for e in net.entries]))
-        assert net.conj_stack().tobytes() == want.tobytes()
-        assert net.conj_stack().shape == want.shape
         assert not net.stack.flags.writeable
         with pytest.raises(ValueError):
             net.stack[0, 0, 0] = 0
@@ -222,6 +261,34 @@ def test_nearest_finds_exact_hits_up_to_phase(kitaev8):
         got, achieved = _nearest(kitaev8, u)
         assert achieved < 1e-12
         assert kitaev8.seqs[got] == e.seq
+
+
+GOLDEN_NEAREST = Path(__file__).parent / "data" / "nearest.json"
+
+
+def golden_targets(net, seed):
+    """Seeded search targets: Haar unitaries, near-identity rotations with
+    angles 1e-7 to 0.5, and net entries times a global phase (exact hits)."""
+    rng = np.random.default_rng(seed)
+    d = net.dim
+    targets = [haar_unitary(d, rng) for _ in range(40)]
+    for angle in np.geomspace(1e-7, 0.5, 40):
+        q = haar_unitary(d, rng)
+        phases = angle * rng.uniform(-1, 1, size=d)
+        targets.append((q * np.exp(1j * phases)) @ q.conj().T)
+    for i in rng.choice(len(net), size=40, replace=False):
+        targets.append(np.exp(1j * rng.uniform(0, 2 * np.pi)) * net.stack[i])
+    return targets
+
+
+@pytest.mark.parametrize("name", ["ht12", "kitaev8"])
+def test_nearest_matches_golden_results_bitwise(name, demo12, kitaev8):
+    # The expected (index, distance bits) are the output of the search as it
+    # stood when the net also held a conjugated copy of its stack.
+    net, seed = {"ht12": (demo12, 12), "kitaev8": (kitaev8, 8)}[name]
+    want = json.loads(GOLDEN_NEAREST.read_text())[name]
+    got = [[k, d.hex()] for k, d in (_nearest(net, u) for u in golden_targets(net, seed))]
+    assert got == want
 
 
 def test_build_net_validates_arguments():
