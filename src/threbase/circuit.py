@@ -14,16 +14,23 @@ tensor) is the same table that places a gate's entries in `embed`.
 Columns of the unitary evolve independently, so the circuit is applied to
 blocks of at most BLOCK_AMPLITUDES entries of the identity in turn: beside
 the result, a gate application then holds two blocks, not two more full
-matrices.  A run of consecutive gates on the same operands (a single-qubit
-Solovay-Kitaev word is one run) is gathered once, multiplied gate by gate,
-and scattered once; the gather and scatter are exact copies, so this is
-bitwise equal to the per-gate loop.
+matrices.  A run of consecutive gates is gathered once, multiplied gate by
+gate, and scattered once; the gather and scatter are exact copies.  A run
+is a group of gates on the same operands (a single-qubit Solovay-Kitaev
+word is one), or adjacent groups merged while their joint support stays
+within two qubits and every two-qubit gate among them has the same operand
+order, the run's frame (an exact {H, CS} word of a one-qubit gate is one
+run).  A gate on one qubit of the frame is multiplied as its 4x4
+embedding in the frame, built once per call; the embedding's exact zeros
+add nothing, and the tests check the result against the per-gate loop
+bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -80,6 +87,15 @@ def _operand_rows(qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
     return idx.transpose(list(qubits) + rest).reshape(2 ** len(qubits), -1)
 
 
+def _placed(m: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """Full 2**n matrix of m acting on `qubits`, identity elsewhere."""
+    rows = _operand_rows(qubits, n_qubits)
+    dim = 2**n_qubits
+    out = np.zeros((dim, dim), dtype=complex)
+    out[rows[:, None, :], rows[None, :, :]] = m[:, :, None]
+    return out
+
+
 def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     """Full 2**n matrix of a gate acting on its operands, identity elsewhere."""
     _check_cap(n_qubits, max_qubits)
@@ -87,23 +103,59 @@ def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray
         raise ValidationError(
             f"gate on {gate.qubits} does not fit in {n_qubits} qubits"
         )
-    rows = _operand_rows(gate.qubits, n_qubits)
-    dim = 2**n_qubits
-    out = np.zeros((dim, dim), dtype=complex)
-    out[rows[:, None, :], rows[None, :, :]] = gate_matrix(gate)[:, :, None]
-    return out
+    return _placed(gate_matrix(gate), gate.qubits, n_qubits)
+
+
+def _support_runs(gates) -> list[list]:
+    """Gates split into runs of [frame, ordered, groups], in circuit order.
+
+    groups are the (operands, gates) of groupby over operands, which runs
+    at C speed; a group joins the run before it while the joint support
+    stays within two qubits and, once a two-qubit group has fixed the
+    frame's order (ordered), every two-qubit group has that order.
+    """
+    runs: list[list] = []
+    for qubits, group in groupby(gates, key=attrgetter("qubits")):
+        group = list(group)
+        if runs and len(qubits) <= 2:
+            run = runs[-1]
+            frame, ordered = run[0], run[1]
+            joint = frame + tuple(q for q in qubits if q not in frame)
+            pair = len(qubits) == 2
+            if len(joint) <= 2 and not (ordered and pair and qubits != frame):
+                run[0] = qubits if pair else joint
+                run[1] = ordered or pair
+                run[2].append((qubits, group))
+                continue
+        runs.append([qubits, len(qubits) == 2, [(qubits, group)]])
+    return runs
 
 
 def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     _check_cap(c.n_qubits, max_qubits)
     dim = 2**c.n_qubits
     tables: dict[tuple[int, ...], np.ndarray] = {}
+    framed: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
+
+    def in_frame(g: Gate, frame: tuple[int, ...]) -> np.ndarray:
+        m = framed.get((g, frame))
+        if m is None:
+            local = (frame.index(g.qubits[0]),)
+            m = framed[g, frame] = _placed(gate_matrix(g), local, 2)
+        return m
+
     runs = []
-    for qubits, run in groupby(c.gates, key=lambda g: g.qubits):
-        rows = tables.get(qubits)
+    for frame, _, groups in _support_runs(c.gates):
+        rows = tables.get(frame)
         if rows is None:
-            rows = tables[qubits] = _operand_rows(qubits, c.n_qubits)
-        runs.append((rows, [gate_matrix(g) for g in run]))
+            rows = tables[frame] = _operand_rows(frame, c.n_qubits)
+        mats = []
+        for qubits, group in groups:
+            if qubits == frame:
+                mats.extend(map(gate_matrix, group))
+            else:
+                mats.extend(in_frame(g, frame) for g in group)
+        runs.append((rows, mats))
     u = np.eye(dim, dtype=complex)
     width = max(1, BLOCK_AMPLITUDES // dim)
     for start in range(0, dim, width):

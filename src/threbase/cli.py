@@ -6,12 +6,13 @@ so repeated invocations are byte-identical.  Exit codes: 0 success or
 check passed, 1 check failed or accuracy budget not met, 2 usage or
 validation error, 3 entry/qubit cap exceeded.
 
-transpile is one pipeline: --to kitaev rewrites over {H, CS}; --to th
-does the same rewrite, keeping CCX, then realifies onto {H, CCX} with one
-flag qubit.  A th input already over {H, CCX} passes through unchanged.
-The two-qubit kitaev net (built at length 8, or read from --net) is only
-made when some gate has no exact rewrite, so a --net file is read, and a
-bad one reported, only then.
+transpile is one pipeline: --to kitaev rewrites over {H, CS}, each named
+gate (CCX included) by its exact word; --to th does the same rewrite,
+keeping CCX, then realifies onto {H, CCX} with one flag qubit.  A th input
+already over {H, CCX} passes through unchanged.  Only GENERIC gates are
+approximated, so the two-qubit kitaev net (built at length 8, or read
+from --net) is only made when the circuit has one, and a --net file is
+read, and a bad one reported, only then.
 
 TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
 12).  verify --mode realified and --mode stats apply it to the realified
@@ -246,14 +247,7 @@ def cmd_bench(args) -> int:
 
 # --- entry point ----------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
-        prog="threbase",
-        description="Rebase quantum circuits onto {Toffoli, Hadamard}.",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
-
-    t = sub.add_parser("transpile", help="rewrite a circuit over a target set")
+def _add_transpile(t):
     t.add_argument("input", help="circuit JSON file")
     t.add_argument("--to", choices=("th", "kitaev"), required=True)
     t.add_argument("--eps", type=float, default=1e-2, help="approximation budget")
@@ -261,14 +255,16 @@ def _build_parser() -> argparse.ArgumentParser:
     t.add_argument("-o", "--output", help="output circuit file (default stdout)")
     t.set_defaults(func=cmd_transpile)
 
-    v = sub.add_parser("verify", help="check two circuits for equivalence")
+
+def _add_verify(v):
     v.add_argument("a")
     v.add_argument("b")
     v.add_argument("--mode", choices=("exact", "realified", "stats"), default="exact")
     v.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
     v.set_defaults(func=cmd_verify)
 
-    n = sub.add_parser("net", help="build or inspect a net cache")
+
+def _add_net(n):
     nsub = n.add_subparsers(dest="action", required=True)
     nb = nsub.add_parser("build")
     nb.add_argument("--set", required=True, help="gate set name (kitaev or ht)")
@@ -279,12 +275,14 @@ def _build_parser() -> argparse.ArgumentParser:
     ni.add_argument("path")
     n.set_defaults(func=cmd_net)
 
-    s = sub.add_parser("simulate", help="print the output state on a basis input")
+
+def _add_simulate(s):
     s.add_argument("input", help="circuit JSON file")
     s.add_argument("--input", dest="input_state", required=True, metavar="BITS")
     s.set_defaults(func=cmd_simulate)
 
-    b = sub.add_parser("bench", help="emit machine-readable scaling tables")
+
+def _add_bench(b):
     b.add_argument("--sk-scaling", action="store_true")
     b.add_argument("--targets", type=int, default=20)
     b.add_argument("--max-depth", type=int, default=3)
@@ -292,11 +290,45 @@ def _build_parser() -> argparse.ArgumentParser:
     b.add_argument("--net", help="single-qubit net cache")
     b.add_argument("--max-len", type=int, default=12, help="net length when building")
     b.set_defaults(func=cmd_bench)
+
+
+# (name, help, add-arguments function) of every subcommand, in usage order.
+_COMMANDS = (
+    ("transpile", "rewrite a circuit over a target set", _add_transpile),
+    ("verify", "check two circuits for equivalence", _add_verify),
+    ("net", "build or inspect a net cache", _add_net),
+    ("simulate", "print the output state on a basis input", _add_simulate),
+    ("bench", "emit machine-readable scaling tables", _add_bench),
+)
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for argv: only argv[0]'s subparser when it names one.
+
+    Building a subparser costs more than parsing, so a call builds the one
+    it uses.  Help and an unknown or missing command build all of them, so
+    that their output lists every subcommand.
+    """
+    p = argparse.ArgumentParser(
+        prog="threbase",
+        description="Rebase quantum circuits onto {Toffoli, Hadamard}.",
+    )
+    chosen = [c for c in _COMMANDS if argv and c[0] == argv[0]]
+    if chosen:
+        # The usage line of an error still names every subcommand.
+        names = "{" + ",".join(c[0] for c in _COMMANDS) + "}"
+        sub = p.add_subparsers(dest="command", required=True, metavar=names)
+    else:
+        sub = p.add_subparsers(dest="command", required=True)
+        chosen = _COMMANDS
+    for name, help_text, add_arguments in chosen:
+        add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
     except BudgetNotMet as e:

@@ -82,6 +82,8 @@ def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
         raise ValidationError(
             f"malformed {what} at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except RecursionError:
+        raise ValidationError(f"malformed {what}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object")
     if not _is_int(doc.get("version")) or doc["version"] != version:

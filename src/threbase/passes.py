@@ -19,10 +19,12 @@ The H pair cancels when the controls do not fire, which keeps the identity
 exact without controlling the Hadamards.  H and CCX are real, so each
 realifies to itself tensored with the identity on the flag qubit.
 
-Rebasing onto {H, CS} is gate by gate as well.  A gate whose kind has an
-exact word is replaced by the word, read from one table built at import;
-any other gate is approximated by a two-qubit net entry.  Both passes
-return (circuit, error_bound).
+Rebasing onto {H, CS} is gate by gate as well.  Every named gate, the
+Toffoli included, has an exact word and is replaced by it, read from one
+table built at import; a one-qubit gate's word also uses a fixed partner
+qubit, on which it acts as the identity.  Only GENERIC gates are
+approximated, each by a two-qubit net entry.  Both passes return
+(circuit, error_bound).
 """
 
 from __future__ import annotations
@@ -79,32 +81,46 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
     return Circuit(c.n_qubits + 1, out), 0.0
 
 
-# Exact words over {H, CS}, in application order.  Slot i of a word is
-# operand i of the gate it rewrites, so CNOT(a, b) becomes H(b) CS(a, b)
-# CS(a, b) H(b).  X, Z, S and SDG have exact words too (S on qubit q with
-# partner p is Hp CS Hp CS CS Hp CS Hp CS CS), but they still go through
-# the net: their words are several times longer than the gates they
-# replace, and exact verification of the longer output is slower.
+# Exact words over {H, CS}, in application order, each equal to its gate
+# with no phase.  Slot i of a word is operand i of the gate it rewrites, so
+# CNOT(a, b) becomes H(b) CS(a, b) CS(a, b) H(b).  A one-qubit gate on q
+# takes the partner _partner(q) as slot 1.  CCX(a, b, t) is Barenco et
+# al.'s controlled-V construction with V = H S H: H(t) CS(b, t) CNOT(a, b)
+# CS(b, t)^3 CNOT(a, b) CS(a, t) H(t).
+_H0, _H1, _CS01 = (GateKind.H, (0,)), (GateKind.H, (1,)), (GateKind.CS, (0, 1))
+_CNOT01 = (_H1, _CS01, _CS01, _H1)
+_H2, _CS12 = (GateKind.H, (2,)), (GateKind.CS, (1, 2))
 _EXACT_WORDS: dict[GateKind, tuple[tuple[GateKind, tuple[int, ...]], ...]] = {
-    GateKind.H: ((GateKind.H, (0,)),),
-    GateKind.CS: ((GateKind.CS, (0, 1)),),
-    GateKind.CZ: ((GateKind.CS, (0, 1)),) * 2,
-    GateKind.CSDG: ((GateKind.CS, (0, 1)),) * 3,
-    GateKind.CNOT: (
-        (GateKind.H, (1,)),
-        (GateKind.CS, (0, 1)),
-        (GateKind.CS, (0, 1)),
-        (GateKind.H, (1,)),
+    GateKind.H: (_H0,),
+    GateKind.X: (_H0,) + (_H1, _CS01, _CS01) * 4 + (_H0,),
+    GateKind.Z: (_H1, _CS01, _CS01) * 4,
+    GateKind.S: (_H1, _CS01, _H1, _CS01, _CS01) * 2,
+    GateKind.SDG: (_H1, _CS01, _CS01, _H1, _CS01, _CS01, _CS01) * 2,
+    GateKind.CS: (_CS01,),
+    GateKind.CZ: (_CS01,) * 2,
+    GateKind.CSDG: (_CS01,) * 3,
+    GateKind.CNOT: _CNOT01,
+    GateKind.CCX: (
+        (_H2, _CS12) + _CNOT01 + (_CS12,) * 3 + _CNOT01 + ((GateKind.CS, (0, 2)), _H2)
     ),
 }
 
 
+def _partner(q: int) -> int:
+    """The second qubit a one-qubit gate on q is rewritten or approximated on."""
+    return 0 if q != 0 else 1
+
+
 def rebase_exact(g: Gate) -> list[Gate] | None:
-    """g's exact {H, CS} word on its own qubits, or None when it has none."""
+    """g's exact {H, CS} word, or None when it has none.
+
+    The word acts on g's operands and, for a one-qubit gate, on its partner.
+    """
     word = _EXACT_WORDS.get(g.kind)
     if word is None:
         return None
-    return [Gate(kind, tuple(g.qubits[i] for i in slots)) for kind, slots in word]
+    ops = g.qubits if len(g.qubits) > 1 else (g.qubits[0], _partner(g.qubits[0]))
+    return [Gate(kind, tuple(ops[i] for i in slots)) for kind, slots in word]
 
 
 def _pending(c: Circuit, keep) -> int:
@@ -117,7 +133,7 @@ def needs_net(c: Circuit, keep=()) -> bool:
     return _pending(c, keep) > 0
 
 
-def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]:
+def _approx_target(g: Gate) -> tuple[np.ndarray, tuple[int, int]]:
     """Two-qubit unitary and qubit pair for a gate with no exact expansion."""
     if len(g.qubits) == 2:
         a, b = g.qubits
@@ -127,14 +143,8 @@ def _approx_target(g: Gate, n_qubits: int) -> tuple[np.ndarray, tuple[int, int]]
             f"cannot rebase a {len(g.qubits)}-qubit gate; only gates on "
             "one or two qubits are supported"
         )
-    if n_qubits < 2:
-        raise ValidationError(
-            f"approximating {g.kind.value} needs a second qubit; "
-            "the circuit has only one"
-        )
     q = g.qubits[0]
-    partner = 0 if q != 0 else 1
-    return np.kron(gate_matrix(g), np.eye(2)), (q, partner)
+    return np.kron(gate_matrix(g), np.eye(2)), (q, _partner(q))
 
 
 def rebase_circuit(
@@ -144,16 +154,18 @@ def rebase_circuit(
 
     Each gate takes one of three routes, in circuit order: a kind in `keep`
     passes through unchanged (the th route keeps CCX, which realification
-    accepts as it is), a kind with an exact word is replaced by it, and any
-    other gate is approximated by its nearest net entry.  net may be None
+    accepts as it is), a named gate is replaced by its exact word, and a
+    GENERIC gate is approximated by its nearest net entry.  net may be None
     when needs_net(c, keep) is false.  The accuracy budget eps is split
     uniformly over the approximated gates; error_bound is the sum of their
-    achieved distances.
+    achieved distances.  Every gate but H of a one-qubit circuit needs a
+    partner qubit, so such a circuit is refused.
 
-    The net is searched once per distinct target matrix in this call: X on
-    qubit 0 and X on qubit 2 both approximate kron(X, I) on their own pair.
-    The memo is keyed on the target's bytes and lives for one call; the
-    budget is still checked for every gate.
+    The net is searched once per distinct target matrix in this call: one
+    GENERIC matrix on qubit 0 and on qubit 2 approximates the same
+    kron(U, I), each on its own pair.  The memo is keyed on the target's
+    bytes and lives for one call; the budget is still checked for every
+    gate.
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
@@ -166,12 +178,17 @@ def rebase_circuit(
         if g.kind in keep:
             out.append(g)
             continue
+        if c.n_qubits < 2 and g.kind is not GateKind.H:
+            raise ValidationError(
+                f"rewriting {g.kind.value} needs a second qubit; "
+                "the circuit has only one"
+            )
         # A GENERIC gate is its own matrix; only named kinds are looked up.
         word = None if g.kind is GateKind.GENERIC else rebase_exact(g)
         if word is not None:
             out.extend(word)
             continue
-        target, pair = _approx_target(g, c.n_qubits)
+        target, pair = _approx_target(g)
         key = target.tobytes()
         found = searched.get(key)
         if found is None:

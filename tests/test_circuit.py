@@ -180,6 +180,63 @@ def test_runs_match_per_gate_product_bitwise(monkeypatch):
     assert circuit_unitary(wide).tobytes() == want
 
 
+def pair_runs_circuit(rng, n, runs):
+    """Runs on one pair each: one-qubit gates on either qubit of the pair
+    and two-qubit gates in one operand order per run, the order drawn."""
+    from threbase import haar_unitary
+
+    one = (GateKind.H, GateKind.X, GateKind.Z, GateKind.S, GateKind.SDG, GateKind.GENERIC)
+    two = (GateKind.CS, GateKind.CZ, GateKind.CNOT, GateKind.GENERIC)
+    gates = []
+    for _ in range(runs):
+        pair = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+        for _ in range(int(rng.integers(2, 9))):
+            qs = (pair[int(rng.integers(2))],) if rng.random() < 0.6 else pair
+            kinds = one if len(qs) == 1 else two
+            kind = kinds[int(rng.integers(len(kinds)))]
+            m = haar_unitary(2 ** len(qs), rng) if kind is GateKind.GENERIC else None
+            gates.append(Gate(kind, qs, m))
+    return Circuit(n, gates)
+
+
+def test_support_runs_merge_within_two_qubits_and_one_order():
+    from threbase.circuit import _support_runs
+
+    def g(kind, *qs):
+        return Gate(kind, qs)
+
+    gates = [
+        g(GateKind.H, 0), g(GateKind.H, 1), g(GateKind.CS, 1, 0), g(GateKind.X, 0),
+        g(GateKind.CNOT, 0, 1),  # the other order starts a run
+        g(GateKind.S, 1), g(GateKind.H, 2),  # a third qubit starts a run
+        g(GateKind.H, 1), g(GateKind.CCX, 0, 1, 2), g(GateKind.H, 0),
+    ]
+    frames = [(frame, sum(len(group) for _, group in groups))
+              for frame, _, groups in _support_runs(gates)]
+    assert frames == [((1, 0), 4), ((0, 1), 2), ((2, 1), 2), ((0, 1, 2), 1), ((0,), 1)]
+
+
+def test_one_qubit_gates_in_two_qubit_runs_match_per_gate_product_bitwise(monkeypatch):
+    from threbase import circuit
+    from threbase.circuit import _support_runs
+
+    rng = np.random.default_rng(8)
+    for n in (2, 3, 4, 6):
+        c = pair_runs_circuit(rng, n, 12)
+        runs = _support_runs(c.gates)
+        assert any(len(groups) > 1 for _, _, groups in runs)
+        want = unblocked_product(c).tobytes()
+        assert circuit_unitary(c).tobytes() == want
+        if n == 2:
+            continue
+        # Four columns per block.  Narrower blocks take other matmul
+        # kernels, whose rounding differs from the whole-matrix product
+        # even for runs on one operand tuple.
+        monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**n)
+        assert circuit_unitary(c).tobytes() == want
+        monkeypatch.undo()
+
+
 def test_circuit_unitary_peak_memory_is_bounded():
     import tracemalloc
 

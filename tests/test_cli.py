@@ -4,7 +4,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threbase import Circuit, Gate, GateKind, check_realified, emit_circuit, parse_circuit
+from threbase import (
+    Circuit,
+    Gate,
+    GateKind,
+    check_realified,
+    emit_circuit,
+    haar_unitary,
+    parse_circuit,
+)
 from threbase.cli import main
 
 
@@ -119,9 +127,15 @@ def test_transpile_th_passes_ccx_through(capsys, tmp_path, kitaev_net_file):
     assert produced.gates.count(Gate(GateKind.CCX, (3, 1, 2))) == 1
     assert main(["verify", f, str(out_path), "--mode", "realified", "--tol", "1e-10"]) == 0
     assert "passed: yes\n" in capsys.readouterr().out
-    # The kitaev target has no CCX and still refuses it.
-    assert main(["transpile", f, "--to", "kitaev", "--net", kitaev_net_file]) == 2
-    assert "3-qubit gate" in capsys.readouterr().err
+    # The kitaev target has no CCX, so it takes CCX's exact word.
+    k_path = tmp_path / "mixed_kitaev.json"
+    args = ["transpile", f, "--to", "kitaev", "--net", kitaev_net_file, "-o", str(k_path)]
+    assert main(args) == 0
+    assert "error_bound: 0\n" in capsys.readouterr().out
+    produced = parse_circuit(k_path.read_text())
+    assert {g.kind for g in produced.gates} <= {GateKind.H, GateKind.CS}
+    assert main(["verify", f, str(k_path), "--mode", "exact"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
 
 
 GOLDEN = Path(__file__).parent / "data" / "transpile"
@@ -132,10 +146,12 @@ GOLDEN = Path(__file__).parent / "data" / "transpile"
 ])
 def test_transpile_golden_bytes(capsys, tmp_path, name, to):
     # The inputs take every route: pass-through (H, CS, and a whole
-    # {H, CCX} circuit on th), the exact words in both operand orders, net
-    # search (X and S on qubits 0 and 2, one two-qubit GENERIC) and CCX kept
-    # on th.  The expected files are the output of the code as it stood
-    # before transpile was reduced to one word table and one loop.
+    # {H, CCX} circuit on th), the exact words in both operand orders (X
+    # and S on qubits 0 and 2 with their partners), net search (one
+    # two-qubit GENERIC) and CCX kept on th.  h_ccx's expected files are
+    # the output of the code as it stood before transpile was reduced to
+    # one word table and one loop; the mixed ones were regenerated when X,
+    # Z, S and SDG took their exact words.
     out_path = tmp_path / "out.json"
     src = str(GOLDEN / f"{name}.in.json")
     assert main(["transpile", src, "--to", to, "--eps", "10", "-o", str(out_path)]) == 0
@@ -172,7 +188,7 @@ def test_transpile_builds_no_net_for_exact_gates(capsys, monkeypatch, tmp_path, 
 
 
 @pytest.mark.parametrize("to", ["th", "kitaev"])
-def test_transpile_builds_the_net_for_x(capsys, monkeypatch, tmp_path, to):
+def test_transpile_builds_the_net_for_generic(capsys, monkeypatch, tmp_path, to):
     from threbase import sk
 
     built = []
@@ -183,11 +199,95 @@ def test_transpile_builds_the_net_for_x(capsys, monkeypatch, tmp_path, to):
         return real_build(*args, **kwargs)
 
     monkeypatch.setattr(sk, "build_net", counting)
-    c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.X, (1,))])
-    f = write_circuit(tmp_path / "x.json", c)
+    u = haar_unitary(2, np.random.default_rng(2))
+    c = Circuit(2, [Gate(GateKind.H, (0,)), Gate(GateKind.GENERIC, (1,), u)])
+    f = write_circuit(tmp_path / "u.json", c)
     assert main(["transpile", f, "--to", to, "--eps", "2"]) == 0
     capsys.readouterr()
     assert len(built) == 1
+
+
+@pytest.mark.parametrize("kind", [k for k in GateKind if k is not GateKind.GENERIC])
+def test_every_named_gate_is_exact_on_th(capsys, monkeypatch, tmp_path, kind):
+    from threbase import sk
+    from threbase.gates import ARITY
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the net was built")
+
+    monkeypatch.setattr(sk, "build_net", refuse)
+    # The CS keeps an {H, CCX} circuit off the pass-through, which
+    # realified mode cannot check.
+    c = Circuit(3, [Gate(GateKind.CS, (0, 2)), Gate(kind, (2, 0, 1)[:ARITY[kind]])])
+    f = write_circuit(tmp_path / "in.json", c)
+    out_path = tmp_path / "out.json"
+    assert main(["transpile", f, "--to", "th", "-o", str(out_path)]) == 0
+    assert "error_bound: 0\n" in capsys.readouterr().out
+    args = ["verify", f, str(out_path), "--mode", "realified", "--tol", "1e-10"]
+    assert main(args) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("to", ["th", "kitaev"])
+def test_one_qubit_circuit_refuses_gates_that_need_a_partner(capsys, tmp_path, to):
+    f = write_circuit(tmp_path / "x.json", Circuit(1, [Gate(GateKind.X, (0,))]))
+    assert main(["transpile", f, "--to", to]) == 2
+    assert capsys.readouterr().err == (
+        "error: rewriting X needs a second qubit; the circuit has only one\n"
+    )
+
+
+def test_deeply_nested_input_exits_2(capsys, tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    for argv, what in (
+        (["transpile", str(deep), "--to", "th"], "circuit file"),
+        (["verify", str(deep), str(deep)], "circuit file"),
+        (["simulate", str(deep), "--input", "0"], "circuit file"),
+        (["net", "inspect", str(deep)], "net cache"),
+    ):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: malformed {what}: nested too deeply\n"
+
+
+PARSER_BYTES = Path(__file__).parent / "data" / "cli" / "parser_bytes.json"
+
+
+def argparse_call(call, argv):
+    """(exit code, stdout, stderr) of an argparse-level call."""
+    import contextlib
+    import io
+
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as e:
+            call(argv)
+    return e.value.code, out.getvalue(), err.getvalue()
+
+
+def test_parser_output_matches_the_full_parser(monkeypatch):
+    # A call that names a subcommand builds only that subparser.  Help,
+    # usage errors and unknown or missing commands must still print what
+    # the parser with every subcommand prints.  The recorded bytes come
+    # from the code before the parser was split, and argparse's wording
+    # differs between Python versions, so they are compared on the version
+    # that recorded them; the full parser is the reference on every version.
+    import sys
+
+    from threbase import cli
+
+    recorded = json.loads(PARSER_BYTES.read_text())
+    monkeypatch.setenv("COLUMNS", str(recorded["columns"]))
+    same_python = recorded["python"] == "%d.%d" % sys.version_info[:2]
+    assert len(recorded["cases"]) == 14
+    for case in recorded["cases"]:
+        argv = case["argv"]
+        got = argparse_call(main, argv)
+        assert got == argparse_call(lambda a: cli._build_parser([]).parse_args(a), argv)
+        if same_python:
+            assert got == (case["code"], case["stdout"], case["stderr"]), argv
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
@@ -205,8 +305,6 @@ def test_transpile_checks_eps_on_every_route(capsys, tmp_path, to, kinds, eps):
 
 
 def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file):
-    from threbase import haar_unitary
-
     u = haar_unitary(2, np.random.default_rng(5))
     c = Circuit(2, [Gate(GateKind.GENERIC, (0,), u)])
     f = write_circuit(tmp_path / "t.json", c)
@@ -222,8 +320,10 @@ def test_transpile_net_must_be_two_qubit(capsys, tmp_path):
     ht = tmp_path / "ht.json"
     assert main(["net", "build", "--set", "ht", "--max-len", "3", "-o", str(ht)]) == 0
     capsys.readouterr()
-    # X has no exact rewrite, so the net is read and its gate set checked.
-    f = write_circuit(tmp_path / "x.json", Circuit(2, [Gate(GateKind.X, (1,))]))
+    # A GENERIC gate has no exact rewrite, so the net is read and its gate
+    # set checked.
+    u = haar_unitary(2, np.random.default_rng(2))
+    f = write_circuit(tmp_path / "u.json", Circuit(2, [Gate(GateKind.GENERIC, (1,), u)]))
     code = main(["transpile", f, "--to", "kitaev", "--net", str(ht)])
     assert code == 2
     assert "1-qubit gate set" in capsys.readouterr().err
@@ -297,7 +397,8 @@ def test_version_one_net_cache_exits_2(capsys, tmp_path):
         e["matrix"] = [[float(k % 5 == 0), 0.0] for k in range(16)]
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    f = write_circuit(tmp_path / "x.json", Circuit(2, [Gate(GateKind.X, (1,))]))
+    u = haar_unitary(2, np.random.default_rng(2))
+    f = write_circuit(tmp_path / "u.json", Circuit(2, [Gate(GateKind.GENERIC, (1,), u)]))
     for argv in (["net", "inspect", str(path)],
                  ["transpile", f, "--to", "kitaev", "--net", str(path)]):
         assert main(argv) == 2

@@ -1,3 +1,5 @@
+from itertools import permutations
+
 import numpy as np
 import pytest
 
@@ -21,6 +23,8 @@ from threbase import (
 )
 from threbase import sk
 from threbase.errors import ValidationError
+from threbase.gates import ARITY
+from threbase.passes import needs_net
 
 CS_GATE = Gate(GateKind.CS, (0, 1))
 
@@ -120,19 +124,76 @@ def test_rebase_exact_table():
 def test_rebase_exact_passthrough_and_misses():
     assert rebase_exact(Gate(GateKind.H, (0,))) == [Gate(GateKind.H, (0,))]
     assert rebase_exact(CS_GATE) == [CS_GATE]
-    assert rebase_exact(Gate(GateKind.X, (0,))) is None
-    assert rebase_exact(Gate(GateKind.S, (0,))) is None
+    # Every named kind has a word; only a GENERIC gate misses the table.
+    for kind, arity in ARITY.items():
+        assert rebase_exact(Gate(kind, tuple(range(arity)))) is not None
     assert rebase_exact(Gate(GateKind.GENERIC, (0,), np.diag([1, 1j]))) is None
+    # A one-qubit word also acts on the partner: qubit 0, or 1 for qubit 0.
+    for q, partner in ((0, 1), (1, 0), (3, 0)):
+        word = rebase_exact(Gate(GateKind.X, (q,)))
+        assert {p for g in word for p in g.qubits} == {q, partner}
 
 
 def test_s_has_an_exact_kitaev_word():
-    # S is approximated on the rebase route, yet an exact {H, CS} word for
-    # it exists: the table's misses are not for want of one.
+    # The S row of the word table, checked against S (x) I by hand.
     h1 = Gate(GateKind.H, (1,))
     word = [h1, CS_GATE, h1, CS_GATE, CS_GATE, h1, CS_GATE, h1, CS_GATE, CS_GATE]
+    assert rebase_exact(Gate(GateKind.S, (0,))) == word
     w = circuit_unitary(Circuit(2, word))
     s_on_0 = np.kron(gate_matrix(GateKind.S), np.eye(2))
     assert np.linalg.norm(w - s_on_0, 2) <= 1e-12
+
+
+def on_qubits(kind, qubits, n):
+    """kind on `qubits` of n, built bit by bit from gate_matrix alone."""
+    m = gate_matrix(kind)
+    k = len(qubits)
+    out = np.zeros((2**n, 2**n), dtype=complex)
+    for col in range(2**n):
+        bits = [(col >> (n - 1 - q)) & 1 for q in range(n)]
+        local = sum(bits[q] << (k - 1 - i) for i, q in enumerate(qubits))
+        for row_local in range(2**k):
+            out_bits = list(bits)
+            for i, q in enumerate(qubits):
+                out_bits[q] = (row_local >> (k - 1 - i)) & 1
+            row = sum(b << (n - 1 - q) for q, b in enumerate(out_bits))
+            out[row, col] = m[row_local, local]
+    return out
+
+
+@pytest.mark.parametrize("kind, letters, cs", [
+    (GateKind.X, 14, 8), (GateKind.Z, 12, 8), (GateKind.S, 10, 6),
+    (GateKind.SDG, 14, 10), (GateKind.CCX, 15, 9),
+])
+def test_new_exact_words_equal_their_gates(kind, letters, cs):
+    # No phase is fixed: each word equals its gate entry by entry, on both
+    # qubit orders of a one-qubit gate's pair and all six orders of CCX.
+    if kind is GateKind.CCX:
+        cases = [(qs, qs, 3) for qs in permutations(range(3))]
+    else:
+        cases = [((0,), (0, 1), 2), ((1,), (1, 0), 2)]
+    for qubits, support, n in cases:
+        word = rebase_exact(Gate(kind, qubits))
+        assert len(word) == letters
+        assert sum(g.kind is GateKind.CS for g in word) == cs
+        assert {g.kind for g in word} <= {GateKind.H, GateKind.CS}
+        assert {q for g in word for q in g.qubits} == set(support)
+        got = circuit_unitary(Circuit(n, word))
+        assert np.max(np.abs(got - on_qubits(kind, qubits, n))) <= 1e-12
+
+
+def test_rebase_circuit_needs_no_net_for_named_gates():
+    # Every named kind, the Toffoli included, rewrites exactly with no net.
+    gates = [Gate(k, (2, 0, 1)[:a]) for k, a in ARITY.items()]
+    c = Circuit(3, gates)
+    assert not needs_net(c)
+    out, error_bound = rebase_circuit(c, None, eps=1e-12)
+    assert error_bound == 0.0
+    assert {g.kind for g in out.gates} <= {GateKind.H, GateKind.CS}
+    assert dist(circuit_unitary(out), circuit_unitary(c)) < 1e-12
+    # th keeps CCX as it is.
+    kept, _ = rebase_circuit(c, None, eps=1e-12, keep=(GateKind.CCX,))
+    assert kept.gates.count(Gate(GateKind.CCX, (2, 0, 1))) == 1
 
 
 def test_pauli_x_is_no_net_product():
@@ -154,7 +215,8 @@ def test_rebase_circuit_exact_only(kitaev8):
 
 
 def test_rebase_circuit_approximates_within_budget(kitaev8):
-    c = Circuit(2, [Gate(GateKind.S, (1,)), Gate(GateKind.CZ, (0, 1))])
+    u = haar_unitary(2, np.random.default_rng(2))
+    c = Circuit(2, [Gate(GateKind.GENERIC, (1,), u), Gate(GateKind.CZ, (0, 1))])
     eps = 1.0
     out, error_bound = rebase_circuit(c, kitaev8, eps=eps)
     assert {g.kind for g in out.gates} <= {GateKind.H, GateKind.CS}
@@ -179,20 +241,27 @@ def test_rebase_circuit_rejects_bad_eps(kitaev8):
 
 
 def test_rebase_rejects_three_qubit_gates(kitaev8):
-    c = Circuit(3, [Gate(GateKind.CCX, (0, 1, 2))])
-    with pytest.raises(ValidationError):
+    # CCX has an exact word; a three-qubit GENERIC gate has no route.
+    u = haar_unitary(8, np.random.default_rng(2))
+    c = Circuit(3, [Gate(GateKind.GENERIC, (0, 1, 2), u)])
+    with pytest.raises(ValidationError, match="3-qubit gate"):
         rebase_circuit(c, kitaev8, eps=0.5)
 
 
 def test_rebase_rejects_single_qubit_circuit(kitaev8):
-    c = Circuit(1, [Gate(GateKind.S, (0,))])
-    with pytest.raises(ValidationError):
-        rebase_circuit(c, kitaev8, eps=0.5)
+    # Every gate but H needs a partner qubit, on both routes.
+    u = haar_unitary(2, np.random.default_rng(2))
+    for g in (Gate(GateKind.S, (0,)), Gate(GateKind.X, (0,)), Gate(GateKind.GENERIC, (0,), u)):
+        with pytest.raises(ValidationError, match="needs a second qubit"):
+            rebase_circuit(Circuit(1, [g]), kitaev8, eps=0.5)
+    out, _ = rebase_circuit(Circuit(1, [Gate(GateKind.H, (0,))]), None, eps=0.5)
+    assert out.gates == (Gate(GateKind.H, (0,)),)
 
 
 def test_rebase_single_qubit_gate_on_wide_circuit(kitaev8):
     # A 1-qubit approximation target is padded with a deterministic partner.
-    c = Circuit(3, [Gate(GateKind.S, (2,))])
+    u = haar_unitary(2, np.random.default_rng(2))
+    c = Circuit(3, [Gate(GateKind.GENERIC, (2,), u)])
     out, error_bound = rebase_circuit(c, kitaev8, eps=1.0)
     touched = {q for g in out.gates for q in g.qubits}
     assert touched <= {2, 0}
@@ -200,16 +269,22 @@ def test_rebase_single_qubit_gate_on_wide_circuit(kitaev8):
 
 
 def test_rebase_circuit_searches_each_distinct_target_once(kitaev8, monkeypatch):
-    g = haar_unitary(4, np.random.default_rng(11))
+    rng = np.random.default_rng(11)
+    g = haar_unitary(4, rng)
+    x, s = haar_unitary(2, rng), haar_unitary(2, rng)
+
+    def one(m, q):
+        return Gate(GateKind.GENERIC, (q,), m)
+
     gates = [
-        Gate(GateKind.X, (0,)),
+        one(x, 0),
         Gate(GateKind.GENERIC, (0, 2), g),
-        Gate(GateKind.S, (2,)),
-        Gate(GateKind.X, (1,)),
+        one(s, 2),
+        one(x, 1),
         Gate(GateKind.CZ, (1, 2)),
-        Gate(GateKind.S, (0,)),
+        one(s, 0),
         Gate(GateKind.GENERIC, (2, 1), g),
-        Gate(GateKind.X, (2,)),
+        one(x, 2),
         Gate(GateKind.GENERIC, (0, 2), g),
     ]
     c = Circuit(3, gates)
@@ -235,7 +310,7 @@ def test_rebase_circuit_searches_each_distinct_target_once(kitaev8, monkeypatch)
     for call in (1, 2):
         searches.clear()
         out, error_bound = rebase_circuit(c, kitaev8, eps)
-        # kron(X, I), kron(S, I) and g: three distinct targets, every call.
+        # kron(x, I), kron(s, I) and g: three distinct targets, every call.
         assert len(searches) == 3
         assert out.gates == tuple(want_gates)
         assert error_bound == want_bound
