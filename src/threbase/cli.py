@@ -108,7 +108,7 @@ def cmd_transpile(args) -> int:
     else:
         keep = REALIFY_ALPHABET if th else ()
         net = _kitaev_net(args) if needs_net(c, keep) else None
-        out, error_bound = rebase_circuit(c, net, args.eps, keep)
+        out, error_bound = rebase_circuit(c, net, args.eps, keep, phase_fixed=th)
         if th:
             out, _ = realify_circuit(out)
 

@@ -27,6 +27,7 @@ Every memo lives for one call only; nothing is kept between calls.
 
 from __future__ import annotations
 
+import cmath
 import json
 import marshal
 import math
@@ -63,7 +64,16 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
             or not all(_is_int(v) or isinstance(v, float) for v in pair)
         ):
             raise ValidationError(f"{where}: matrix[{j}] must be a [re, im] pair")
-        flat.append(complex(pair[0], pair[1]))
+        # json.loads reads NaN, Infinity and 1e999 (as inf); an integer
+        # beyond the float range overflows here.  Refusing them before any
+        # matrix arithmetic keeps numpy from warning on them.
+        try:
+            z = complex(pair[0], pair[1])
+        except OverflowError:
+            z = None
+        if z is None or not cmath.isfinite(z):
+            raise ValidationError(f"{where}: matrix[{j}] must be finite")
+        flat.append(z)
     dim = int(round(len(flat) ** 0.5))
     if dim * dim != len(flat):
         raise ValidationError(f"{where}: matrix has {len(flat)} entries, not a square")

@@ -6,6 +6,11 @@ package: dist(a, b) = min over phi of the largest singular value of
 a - exp(i*phi)*b.  It is a pseudometric on unitaries (zero iff the two
 matrices agree up to global phase), computed from the eigenphases of
 a^dag b by `phase_dist`, which also takes whole stacks at once.
+
+2x2 inputs, the single-qubit recursion's, take closed forms on Python
+scalars read through .tolist(): `is_unitary` compares the four entries of
+m^dag m - I one by one, so a NaN or infinite entry fails, and `dist` folds
+the eigenphases of a^dag b from its trace and determinant.
 """
 
 from __future__ import annotations
@@ -38,7 +43,21 @@ def as_matrix(a) -> np.ndarray:
 
 
 def is_unitary(m, tol: float = ATOL) -> bool:
+    """Whether every entry of m^dag m - I has modulus <= tol.
+
+    A 2x2 input takes the four entries in closed form on Python scalars;
+    each is compared on its own, so a NaN or infinite entry fails.
+    """
     m = as_matrix(m)
+    if m.shape[0] == 2:
+        (a, b), (c, d) = m.tolist()
+        ac, bc, cc, dc = a.conjugate(), b.conjugate(), c.conjugate(), d.conjugate()
+        return (
+            abs(ac * a + cc * c - 1.0) <= tol
+            and abs(ac * b + cc * d) <= tol
+            and abs(bc * a + dc * c) <= tol
+            and abs(bc * b + dc * d - 1.0) <= tol
+        )
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
@@ -82,10 +101,12 @@ def dist(a, b) -> float:
 
 
 def _dist_2x2_unitary(a: np.ndarray, b: np.ndarray) -> float:
-    m00 = a[0, 0].conjugate() * b[0, 0] + a[1, 0].conjugate() * b[1, 0]
-    m01 = a[0, 0].conjugate() * b[0, 1] + a[1, 0].conjugate() * b[1, 1]
-    m10 = a[0, 1].conjugate() * b[0, 0] + a[1, 1].conjugate() * b[1, 0]
-    m11 = a[0, 1].conjugate() * b[0, 1] + a[1, 1].conjugate() * b[1, 1]
+    (a00, a01), (a10, a11) = a.conjugate().tolist()
+    (b00, b01), (b10, b11) = b.tolist()
+    m00 = a00 * b00 + a10 * b10
+    m01 = a00 * b01 + a10 * b11
+    m10 = a01 * b00 + a11 * b10
+    m11 = a01 * b01 + a11 * b11
     tr = abs(m00 + m11)
     det = abs(m00 * m11 - m01 * m10)
     folded = min(1.0, tr / (2.0 * math.sqrt(det)))

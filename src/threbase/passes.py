@@ -148,7 +148,7 @@ def _approx_target(g: Gate) -> tuple[np.ndarray, tuple[int, int]]:
 
 
 def rebase_circuit(
-    c: Circuit, net: "sk_mod.Net | None", eps: float, keep=()
+    c: Circuit, net: "sk_mod.Net | None", eps: float, keep=(), phase_fixed: bool = False
 ) -> tuple[Circuit, float]:
     """Rewrite a circuit over {H, CS}; returns (circuit, error_bound).
 
@@ -160,6 +160,13 @@ def rebase_circuit(
     uniformly over the approximated gates; error_bound is the sum of their
     achieved distances.  Every gate but H of a one-qubit circuit needs a
     partner qubit, so such a circuit is refused.
+
+    The distance is the phase-free dist by default, which bounds what
+    `verify --mode exact` measures.  With phase_fixed, entries are chosen
+    and summed by ||W - U||_2 instead: realification maps e^{i phi} U to a
+    different real matrix than U but keeps the operator norm, so on the th
+    route only the phase-fixed sum bounds what `verify --mode realified`
+    measures.
 
     The net is searched once per distinct target matrix in this call: one
     GENERIC matrix on qubit 0 and on qubit 2 approximates the same
@@ -192,7 +199,7 @@ def rebase_circuit(
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
-            k, achieved = sk_mod._nearest(net, target)
+            k, achieved = sk_mod._nearest(net, target, phase_fixed)
             found = searched[key] = (net.seqs[k], achieved)
         seq, achieved = found
         if achieved > budget:

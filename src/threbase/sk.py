@@ -27,10 +27,21 @@ residual u @ u'^dagger into a balanced group commutator V W V^dag W^dag,
 recursing on V and W, and prepending u'.  V and W are rotations by one
 angle about two orthogonal axes, all three in closed form: the axes are
 built in a frame around the residual's own axis, so no commutator is
-formed and no axis is read back from one.  Refinement keeps whichever of
-the refined and unrefined candidates is closer, so achieved distance is
-monotone non-increasing in depth.  Only dimension 2 is refined; dimension 4
-gets the depth-0 net lookup with an honestly reported distance.
+formed and no axis is read back from one.  The 2x2 kernels of the
+recursion (the Pauli components, the frame's cross products, the two
+rotations, the unitarity check and the 2x2 distance) are closed forms on
+Python scalars read once through .tolist(); numpy's per-call overhead on
+2x2 matrices and 3-vectors cost more than their arithmetic.  The
+transcendental functions stay numpy's, whose results differ from the math
+module's in the last bit on some inputs, so outputs are bit for bit those
+of the array form.  Refinement keeps whichever of the refined and
+unrefined candidates is closer, so achieved distance is monotone
+non-increasing in depth.  Only dimension 2 is refined; dimension 4 gets
+the depth-0 net lookup with an honestly reported distance.
+
+The search measures the phase-free dist by default.  On request it
+measures the phase-fixed ||e - u||_2 instead, which a realified circuit
+sees, since realification keeps a global phase.
 """
 
 from __future__ import annotations
@@ -38,6 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
@@ -51,13 +63,6 @@ DEFAULT_MAX_ENTRIES = 5_000_000
 GC_MAX_DIST = 0.5
 # Largest group-commutator residual that gc_decompose accepts.
 COMMUTATOR_TOL = 1e-10
-
-_SIGMA = (
-    np.array([[0, 1], [1, 0]], dtype=complex),
-    np.array([[0, -1j], [1j, 0]], dtype=complex),
-    np.array([[1, 0], [0, -1]], dtype=complex),
-)
-
 
 @dataclass(frozen=True)
 class NetEntry:
@@ -297,11 +302,12 @@ def _row_dists(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 _TIE_TOL = 1e-12
 
 
-def _nearest(net: Net, u: np.ndarray) -> tuple[int, float]:
+def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, float]:
     """Index of the closest entry under dist, and its distance to u.
 
-    Ties within _TIE_TOL go to the shorter, then lexicographically first,
-    sequence.
+    With phase_fixed, the distance is ||e - u||_2 instead, which counts a
+    global phase between the two.  Ties within _TIE_TOL go to the shorter,
+    then lexicographically first, sequence.
     """
     if not len(net):
         raise ValidationError("net has no entries")
@@ -314,34 +320,51 @@ def _nearest(net: Net, u: np.ndarray) -> tuple[int, float]:
         raise ValidationError("nearest-entry search needs a unitary target")
     d = net.dim
     seqs = net.seqs
-    # |tr(e^dag u)| for every entry e, the conjugate taken on the one target.
-    overlap = np.abs(np.einsum("nij,ij->n", net.stack, np.conj(u)))
-    if d == 2:
+    # tr(u^dag e) for every entry e, the conjugate taken on the one target.
+    traces = np.einsum("nij,ij->n", net.stack, np.conj(u))
+    if phase_fixed:
+        # ||e - u||_F^2 = 2d - 2 Re tr(u^dag e).
+        cand, dists = _bounded_search(
+            net.stack, traces.real, lambda rows: np.linalg.norm(rows - u, ord=2, axis=(-2, -1))
+        )
+    elif d == 2:
         # Same closed form as dist() on unitary 2x2 pairs, over all entries
         # at once: the overlap and |det| give the folded eigenphase gap.
         absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-        folded = np.minimum(1.0, overlap / (2.0 * np.sqrt(net.absdet_stack * absdet_u)))
+        folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack * absdet_u)))
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
         cand = np.arange(len(net))
     else:
-        # Frobenius lower bound f / sqrt(d) <= dist for every entry; the
-        # smallest bound's entry gives an upper bound on the minimum, and
-        # only entries whose lower bound reaches it go through the kernel,
-        # with slack for the cancellation in 2d - 2|overlap| (~sqrt(d eps)).
-        lower = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0) / d)
-        upper = _row_dists(net.stack[int(np.argmin(lower))], u)
-        cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
-        dists = _row_dists(net.stack[cand], u)
+        # min over phi of ||e - e^{i phi} u||_F^2 = 2d - 2 |tr(u^dag e)|.
+        cand, dists = _bounded_search(
+            net.stack, np.abs(traces), lambda rows: _row_dists(rows, u)
+        )
     ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
     best, achieved = min(
         zip(cand[ties].tolist(), dists[ties].tolist()),
         key=lambda pair: (len(seqs[pair[0]]), seqs[pair[0]]),
     )
-    if d == 2 and achieved < CLOSED_FORM_MIN:
+    if d == 2 and not phase_fixed and achieved < CLOSED_FORM_MIN:
         # Near-exact hits sit in the closed form's cancellation regime;
         # report the achieved distance at full absolute accuracy.
         achieved = dist(net.stack[best], u)
     return best, achieved
+
+
+def _bounded_search(stack: np.ndarray, overlap: np.ndarray, kernel):
+    """(candidates, kernel distances) for the entries that can be nearest.
+
+    overlap gives each entry's squared Frobenius distance 2d - 2 overlap,
+    and f / sqrt(d) <= kernel for that distance f; the smallest bound's
+    entry gives an upper bound on the minimum, and only entries whose lower
+    bound reaches it go through the kernel, with slack for the cancellation
+    in 2d - 2 overlap (~sqrt(d eps)).
+    """
+    d = stack.shape[-1]
+    lower = np.sqrt(np.maximum(2.0 * d - 2.0 * overlap, 0.0) / d)
+    upper = kernel(stack[int(np.argmin(lower))])
+    cand = np.flatnonzero(lower <= upper + _BOUND_SLACK)
+    return cand, kernel(stack[cand])
 
 
 def nearest(net: Net, u) -> NetEntry:
@@ -360,25 +383,39 @@ def _to_su2(m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _angle_axis(m_su2: np.ndarray) -> tuple[float, np.ndarray | None]:
+def _angle_axis(m_su2: np.ndarray) -> tuple[float, tuple[float, float, float] | None]:
     """Rotation angle in [0, pi] and unit axis; axis is None near identity.
 
-    The angle comes from atan2 of the Pauli components against the trace,
-    which stays accurate near identity, where arccos of the trace loses
-    about eps/theta.
+    The axis is the Pauli components (i tr(sigma_k m) / 2).real in closed
+    form, with tr(X m) = m10 + m01, tr(Y m) = i (m01 - m10) and
+    tr(Z m) = m00 - m11.  The angle comes from atan2 of their norm against
+    the trace, which stays accurate near identity, where arccos of the
+    trace loses about eps/theta.
     """
-    c = (m_su2[0, 0].real + m_su2[1, 1].real) / 2.0
-    n = np.array([(1j * np.trace(p @ m_su2) / 2.0).real for p in _SIGMA])
+    (m00, m01), (m10, m11) = m_su2.tolist()
+    c = (m00.real + m11.real) / 2.0
+    n = (
+        -(m10 + m01).imag / 2.0,
+        (m10.real - m01.real) / 2.0,
+        (m11.imag - m00.imag) / 2.0,
+    )
     s = np.linalg.norm(n)
     theta = 2.0 * np.arctan2(s, c)
     if s < 1e-12:
         return float(theta), None
-    return float(theta), n / s
+    return float(theta), (n[0] / s, n[1] / s, n[2] / s)
 
 
-def _rotation(axis: np.ndarray, angle: float) -> np.ndarray:
-    na = axis[0] * _SIGMA[0] + axis[1] * _SIGMA[1] + axis[2] * _SIGMA[2]
-    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * na
+def _rotation(axis, angle: float) -> np.ndarray:
+    """exp(-i angle/2 (x X + y Y + z Z)) for a unit axis (x, y, z), entry by entry."""
+    x, y, z = axis
+    c, s = np.cos(angle / 2.0), np.sin(angle / 2.0)
+    return np.array(
+        [
+            [complex(c, -s * z), complex(-s * y, -s * x)],
+            [complex(s * y, -s * x), complex(c, s * z)],
+        ]
+    )
 
 
 def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
@@ -388,7 +425,9 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     dist(delta, V W V^dag W^dag) <= COMMUTATOR_TOL.  The rotation angle is
     a closed form in delta's angle, and the two axes are a closed form in
     that angle and delta's axis: they are built in a frame around delta's
-    axis, so no commutator is formed to read its axis back.
+    axis, so no commutator is formed to read its axis back.  Everything
+    but the transcendental functions, which stay numpy's, is arithmetic on
+    Python floats; the residual is still checked on the formed commutator.
     """
     delta = as_matrix(delta)
     if delta.shape[0] != 2:
@@ -403,8 +442,8 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
         raise ValidationError(
             f"gc_decompose needs dist(delta, I) <= {GC_MAX_DIST}, got {gap:.3f}"
         )
-    eye = np.eye(2, dtype=complex)
     if axis is None or theta <= 2e-10:
+        eye = np.eye(2, dtype=complex)
         return eye, eye
 
     # Rotations by phi about x and y have a commutator of angle theta with
@@ -418,16 +457,18 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     # s x' - s y' + c (x' cross y') = r n, so the rotation taking x, y to
     # x', y' takes the commutator's axis onto n.
     s, c = np.sin(phi / 2.0), np.cos(phi / 2.0)
-    r = np.sqrt(1.0 + s * s)
+    r = math.sqrt(1.0 + s * s)
     # a = n x e_j / |n x e_j| for n's smallest component j, and b = n x a.
-    j = int(np.argmin(np.abs(axis)))
-    e_j = np.eye(3)[j]
-    norm = np.sqrt(1.0 - axis[j] ** 2)
-    a = np.cross(axis, e_j) / norm
-    b = (axis[j] * axis - e_j) / norm
-    along, across = (s / r) * axis, (c / (r * np.sqrt(2.0))) * b
-    v = _rotation(along + a / np.sqrt(2.0) - across, phi)
-    w = _rotation(-along + a / np.sqrt(2.0) + across, phi)
+    n0, n1, n2 = axis
+    j = min(range(3), key=lambda k: abs(axis[k]))
+    e0, e1, e2 = e_j = tuple(float(k == j) for k in range(3))
+    norm = math.sqrt(1.0 - axis[j] ** 2)
+    a = ((n1 * e2 - n2 * e1) / norm, (n2 * e0 - n0 * e2) / norm, (n0 * e1 - n1 * e0) / norm)
+    b = [(axis[j] * n - e) / norm for n, e in zip(axis, e_j)]
+    root2 = math.sqrt(2.0)
+    along, across = s / r, c / (r * root2)
+    v = _rotation([along * n + ak / root2 - across * bk for n, ak, bk in zip(axis, a, b)], phi)
+    w = _rotation([-along * n + ak / root2 + across * bk for n, ak, bk in zip(axis, a, b)], phi)
     residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
     if residual > COMMUTATOR_TOL:
         raise CompileError(
@@ -459,10 +500,7 @@ class _Approx:
 
 
 def _invert_seq(seq, gateset: GateSet) -> tuple[str, ...]:
-    out: list[str] = []
-    for label in reversed(seq):
-        out.extend(gateset.inverse_labels(label))
-    return tuple(out)
+    return tuple(chain.from_iterable(map(gateset.inverse_labels, reversed(seq))))
 
 
 def _refine(u: np.ndarray, prev: _Approx, sub_depth: int, net: Net) -> _Approx:

@@ -78,6 +78,22 @@ def test_circuit_validates_qubit_range():
         Circuit(0)
 
 
+def test_circuit_names_the_first_bad_gate():
+    good = [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (1, 2))] * 6
+    not_gate = good[:5] + ["H"] + good[5:]
+    with pytest.raises(ValidationError, match=r"^gates\[5\] is not a Gate$"):
+        Circuit(3, not_gate)
+    out_of_range = good[:7] + [Gate(GateKind.CS, (0, 3))] + good[7:]
+    want = r"^gates\[7\] \(CS\) touches qubit 3 but the circuit has 3 qubits$"
+    with pytest.raises(ValidationError, match=want):
+        Circuit(3, out_of_range)
+    # Whichever fault comes first is the one named.
+    with pytest.raises(ValidationError, match=want):
+        Circuit(3, out_of_range + [None])
+    with pytest.raises(ValidationError, match=r"^gates\[5\] is not a Gate$"):
+        Circuit(3, not_gate[:7] + [Gate(GateKind.CS, (0, 3))])
+
+
 def test_cap_exceeded():
     with pytest.raises(CapExceeded):
         circuit_unitary(Circuit(3, [H]), max_qubits=2)

@@ -151,12 +151,72 @@ def test_transpile_golden_bytes(capsys, tmp_path, name, to):
     # two-qubit GENERIC) and CCX kept on th.  h_ccx's expected files are
     # the output of the code as it stood before transpile was reduced to
     # one word table and one loop; the mixed ones were regenerated when X,
-    # Z, S and SDG took their exact words.
+    # Z, S and SDG took their exact words, and their th files again when th
+    # chose and summed net entries by the phase-fixed distance.
     out_path = tmp_path / "out.json"
     src = str(GOLDEN / f"{name}.in.json")
     assert main(["transpile", src, "--to", to, "--eps", "10", "-o", str(out_path)]) == 0
     assert capsys.readouterr().out == (GOLDEN / f"{name}.{to}.report").read_text()
     assert out_path.read_bytes() == (GOLDEN / f"{name}.{to}.out.json").read_bytes()
+
+
+# Float slack on "verify measures at most error_bound": each gate's error is
+# a norm taken on the net entry's product, while verify simulates the
+# emitted word; both round within about 1e-15 of exact on these circuits.
+BOUND_SLACK = 1e-12
+
+
+def transpile_bound(capsys, src, to, out, net_file, eps="100"):
+    args = ["transpile", src, "--to", to, "--eps", eps, "--net", net_file, "-o", out]
+    assert main(args) == 0
+    report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    return float(report["error_bound"])
+
+
+@pytest.mark.parametrize("to, mode", [("th", "realified"), ("kitaev", "exact")],
+                         ids=["th", "kitaev"])
+def test_error_bound_bounds_what_verify_measures(capsys, tmp_path, kitaev_net_file, to, mode):
+    # Seeded Haar GENERIC gates on one and two qubits among exact gates.  On
+    # th the bound is the phase-fixed sum; the phase-free one, reported
+    # before, fell below the realified deviation on these circuits.
+    rng = np.random.default_rng(47)
+    for trial in range(8):
+        gates = [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (1, 2))]
+        for _ in range(int(rng.integers(1, 3))):
+            if rng.random() < 0.5:
+                q = int(rng.integers(3))
+                gates.append(Gate(GateKind.GENERIC, (q,), haar_unitary(2, rng)))
+            else:
+                a, b = (int(q) for q in rng.choice(3, size=2, replace=False))
+                gates.append(Gate(GateKind.GENERIC, (a, b), haar_unitary(4, rng)))
+            gates.append(Gate(GateKind.CNOT, (2, 0)))
+        src = write_circuit(tmp_path / f"g{trial}.json", Circuit(3, gates))
+        out = str(tmp_path / f"g{trial}.{to}.json")
+        bound = transpile_bound(capsys, src, to, out, kitaev_net_file)
+        tol = repr(bound + BOUND_SLACK)
+        assert main(["verify", src, out, "--mode", mode, "--tol", tol]) == 0
+        assert "passed: yes\n" in capsys.readouterr().out
+
+
+def test_phase_shifted_cz_reports_its_phase_on_th(capsys, tmp_path, kitaev_net_file):
+    # CS CS is CZ exactly, so on kitaev, which ignores global phase, the
+    # gate is exact; its realified image differs from CZ's by |1 - e^{0.3i}|.
+    u = np.exp(0.3j) * np.diag([1, 1, 1, -1])
+    src = write_circuit(tmp_path / "cz.json", Circuit(2, [Gate(GateKind.GENERIC, (0, 1), u)]))
+    out = str(tmp_path / "cz.th.json")
+    bound = transpile_bound(capsys, src, "th", out, kitaev_net_file, eps="1")
+    assert bound == pytest.approx(2 * np.sin(0.15), abs=1e-15)
+    # The report's own figure as the tolerance, with no slack, as CI runs it.
+    assert main(["verify", src, out, "--mode", "realified", "--tol", repr(bound)]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+    # The budget is judged against the same distance.
+    args = ["transpile", src, "--to", "th", "--eps", "0.29", "--net", kitaev_net_file]
+    assert main(args) == 1
+    assert "best_achieved: 0.2988762649471" in capsys.readouterr().err
+    out = str(tmp_path / "cz.kitaev.json")
+    assert transpile_bound(capsys, src, "kitaev", out, kitaev_net_file, eps="1e-9") < 1e-12
+    assert main(["verify", src, out, "--mode", "exact"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("to, mode", [("th", "realified"), ("kitaev", "exact")],

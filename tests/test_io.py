@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -101,6 +102,29 @@ def test_circuit_gate_level_errors():
         )
     with pytest.raises(ValidationError, match=r"matrix\[0\]"):
         parse_circuit(head + '{"name":"GENERIC","qubits":[0],"matrix":[[1]]}]}')
+
+
+@pytest.mark.parametrize(
+    "literal",
+    ["NaN", "Infinity", "-Infinity", "1e999", "-1e999", "1" + "0" * 400],
+    ids=["nan", "inf", "-inf", "1e999", "-1e999", "int400"],
+)
+@pytest.mark.parametrize("part", [0, 1])
+def test_circuit_refuses_non_finite_matrix_entries(literal, part):
+    # Refused before any matrix arithmetic, so numpy warns of nothing; the
+    # entry sits in a two-qubit gate, whose unitarity check is a matmul.
+    pairs = [[1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0], [0, 0], [0, 0],
+             [0, 0], [0, 0], [1, 0], [0, 0], [0, 0], [0, 0], [0, 0], [1, 0]]
+    pairs[6][part] = "X"
+    matrix = json.dumps(pairs).replace('"X"', literal)
+    text = (
+        '{"version":1,"qubits":2,"gates":[{"name":"H","qubits":[0]},'
+        f'{{"name":"GENERIC","qubits":[0,1],"matrix":{matrix}}}]}}'
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"^gates\[1\]: matrix\[6\] must be finite$"):
+            parse_circuit(text)
 
 
 def test_circuit_qubit_range_error():

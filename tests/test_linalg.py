@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from threbase import dist, haar_unitary, is_unitary, phase_dist
+from threbase.linalg import ATOL, UNITARY_TOL, _dist_2x2_unitary
 from threbase.errors import ValidationError
 
 I2 = np.eye(2, dtype=complex)
@@ -164,3 +166,69 @@ def test_haar_unitary_is_unitary_and_seeded():
 def test_is_unitary_rejects_non_unitary():
     assert not is_unitary(np.array([[1, 0], [0, 2]], dtype=complex))
     assert is_unitary(np.exp(0.4j) * H)
+
+
+def dense_is_unitary(m, tol):
+    """Reference: the largest entry of |m^dag m - I|, as numpy forms it."""
+    return bool(np.max(np.abs(m.conj().T @ m - np.eye(len(m)))) <= tol)
+
+
+@pytest.mark.parametrize("tol", [ATOL, UNITARY_TOL])
+def test_is_unitary_2x2_decides_as_the_dense_formula(tol):
+    # Seeded unitaries, then perturbations that move m^dag m - I to about
+    # tol / 2 and 2 tol: a scaled column moves one diagonal entry, a
+    # random additive term moves all four.
+    rng = np.random.default_rng(41)
+    decided = []
+    for _ in range(200):
+        u = haar_unitary(2, rng)
+        cases = [u]
+        for k in (0.5, 2.0):
+            col = int(rng.integers(2))
+            scale = np.ones(2)
+            scale[col] = math.sqrt(1.0 + k * tol)
+            cases.append(u * scale)
+            r = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+            cases.append(u + (k * tol / 2.0) * r / np.abs(r).max())
+        for m in cases:
+            want = dense_is_unitary(m, tol)
+            assert is_unitary(m, tol) is want
+            decided.append(want)
+    assert any(decided) and not all(decided)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, complex(0, math.nan)])
+@pytest.mark.parametrize("pos", [(0, 0), (0, 1), (1, 0), (1, 1)])
+def test_is_unitary_2x2_refuses_non_finite_entries(bad, pos):
+    # A NaN compares false against the tolerance, so max() over the four
+    # entries could skip it; each entry is compared on its own.
+    m = H.copy()
+    m[pos] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_unitary(m)
+        assert not is_unitary(m, UNITARY_TOL)
+    assert not is_unitary(np.diag([1.0, bad]))
+
+
+def numpy_scalar_dist_2x2(a, b):
+    """Reference: the closed form of _dist_2x2_unitary on numpy scalars."""
+    m00 = a[0, 0].conjugate() * b[0, 0] + a[1, 0].conjugate() * b[1, 0]
+    m01 = a[0, 0].conjugate() * b[0, 1] + a[1, 0].conjugate() * b[1, 1]
+    m10 = a[0, 1].conjugate() * b[0, 0] + a[1, 1].conjugate() * b[1, 0]
+    m11 = a[0, 1].conjugate() * b[0, 1] + a[1, 1].conjugate() * b[1, 1]
+    tr = abs(m00 + m11)
+    det = abs(m00 * m11 - m01 * m10)
+    folded = min(1.0, tr / (2.0 * math.sqrt(det)))
+    return math.sqrt(max(0.0, 2.0 - 2.0 * folded))
+
+
+def test_dist_2x2_closed_form_matches_numpy_scalar_reference_bitwise():
+    rng = np.random.default_rng(43)
+    for _ in range(2000):
+        a = haar_unitary(2, rng)
+        # Near pairs as well as far ones: the closed form's cancellation
+        # regime is where a changed rounding would show first.
+        b = a @ haar_unitary(2, rng) if rng.random() < 0.5 else a * np.exp(1j * rng.normal())
+        got = _dist_2x2_unitary(a, b)
+        assert got.hex() == numpy_scalar_dist_2x2(a, b).hex()

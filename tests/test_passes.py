@@ -292,9 +292,9 @@ def test_rebase_circuit_searches_each_distinct_target_once(kitaev8, monkeypatch)
     searches = []
     nearest = sk._nearest
 
-    def counted(net, u):
+    def counted(net, u, *metric):
         searches.append(u)
-        return nearest(net, u)
+        return nearest(net, u, *metric)
 
     monkeypatch.setattr(sk, "_nearest", counted)
 

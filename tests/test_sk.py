@@ -24,7 +24,15 @@ from threbase import (
 )
 from threbase import io, sk
 from threbase.errors import CapExceeded, ValidationError
-from threbase.sk import COMMUTATOR_TOL, GC_MAX_DIST, NetEntry, _angle_axis, _nearest, _to_su2
+from threbase.sk import (
+    COMMUTATOR_TOL,
+    GC_MAX_DIST,
+    NetEntry,
+    _angle_axis,
+    _nearest,
+    _rotation,
+    _to_su2,
+)
 
 CS4 = np.diag([1, 1, 1, 1j])
 
@@ -291,6 +299,24 @@ def test_nearest_matches_golden_results_bitwise(name, demo12, kitaev8):
     assert got == want
 
 
+@pytest.mark.parametrize("name", ["ht12", "kitaev8"])
+def test_phase_fixed_nearest_matches_exhaustive_search(name, demo12, kitaev8):
+    # The oracle takes ||e - u||_2 of every entry, with no bound to prune
+    # by, and the same tie rule: shorter, then lexicographically first.
+    net, seed = {"ht12": (demo12, 12), "kitaev8": (kitaev8, 8)}[name]
+    targets = golden_targets(net, seed)[::4]
+    targets.append(np.exp(0.3j) * np.diag([1, 1, 1, -1])[: net.dim, : net.dim])
+    for u in targets:
+        norms = np.linalg.norm(net.stack - u, ord=2, axis=(1, 2))
+        ties = np.flatnonzero(norms <= norms.min() + 1e-12)
+        want = min(ties.tolist(), key=lambda k: (len(net.seqs[k]), net.seqs[k]))
+        got, achieved = _nearest(net, u, phase_fixed=True)
+        assert got == want
+        assert achieved == pytest.approx(norms[want], abs=1e-15)
+        # The phase-fixed distance never undercuts the phase-free one.
+        assert achieved >= _nearest(net, u)[1] - 1e-15
+
+
 def test_build_net_validates_arguments():
     with pytest.raises(ValidationError, match="max_length"):
         build_net(demo_1q_gate_set(), -1)
@@ -330,6 +356,30 @@ def random_small_rotation(rng, max_dist):
     axis = rng.normal(size=3)
     angle = rng.uniform(0, 4 * np.arcsin(max_dist / 2))
     return rotation(axis, angle)
+
+
+SIGMA = (
+    np.array([[0, 1], [1, 0]], dtype=complex),
+    np.array([[0, -1j], [1j, 0]], dtype=complex),
+    np.array([[1, 0], [0, -1]], dtype=complex),
+)
+
+
+def sigma_sum_rotation(axis, angle):
+    """Reference: cos(angle/2) I - i sin(angle/2) (x X + y Y + z Z), formed
+    as a sum of Pauli matrices in numpy, the way gc_decompose once did."""
+    na = axis[0] * SIGMA[0] + axis[1] * SIGMA[1] + axis[2] * SIGMA[2]
+    return np.cos(angle / 2.0) * np.eye(2) - 1j * np.sin(angle / 2.0) * na
+
+
+def test_rotation_matches_sigma_sum_bitwise():
+    rng = np.random.default_rng(31)
+    axes = rng.normal(size=(20_000, 3))
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    angles = rng.uniform(0.0, np.pi, size=20_000)
+    for axis, angle in zip(axes, angles):
+        want = sigma_sum_rotation(axis, angle)
+        assert _rotation(axis.tolist(), angle).tobytes() == want.tobytes()
 
 
 def test_commutator_identity_input():
@@ -494,3 +544,24 @@ def test_hadamard_phase_pair_saturates():
     n10 = build_net(gs, 10)
     n13 = build_net(gs, 13)
     assert len(n10) == len(n13) == 24
+
+
+GOLDEN_SK_TRACE = Path(__file__).parent / "data" / "sk_trace.json"
+# One letter per label in the recorded words.
+SK_LETTERS = {"H": "H", "T": "T", "TDG": "D"}
+
+
+def test_sk_trace_matches_recorded_outputs_bitwise(demo12):
+    # Recorded from the recursion as it stood before gc_decompose, is_unitary
+    # and the 2x2 dist were computed on Python scalars.  Each depth's word
+    # is a prefix of the deepest one, so a target stores its deepest word,
+    # the word length at every depth and the achieved distances' bits.
+    doc = json.loads(GOLDEN_SK_TRACE.read_text())
+    for run in doc.values():
+        rng = np.random.default_rng(run["seed"])
+        cfg = SKConfig(net=demo12, depth=run["depth"])
+        for want in run["targets"]:
+            trace = sk_trace(haar_unitary(2, rng), cfg)
+            words = ["".join(SK_LETTERS[label] for label in seq) for seq, _ in trace]
+            assert words == [want["word"][:n] for n in want["lengths"]]
+            assert [a.hex() for _, a in trace] == want["achieved"]
