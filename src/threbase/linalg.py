@@ -11,6 +11,7 @@ a^dag b by `phase_dist`, which also takes whole stacks at once.
 scalars read through .tolist(): `is_unitary` compares the four entries of
 m^dag m - I one by one, so a NaN or infinite entry fails, and `dist` folds
 the eigenphases of a^dag b from its trace and determinant.
+`aligned_frob_2x2` bounds the 2x2 `dist` from above with no eigensolver.
 """
 
 from __future__ import annotations
@@ -46,7 +47,9 @@ def is_unitary(m, tol: float = ATOL) -> bool:
     """Whether every entry of m^dag m - I has modulus <= tol.
 
     A 2x2 input takes the four entries in closed form on Python scalars;
-    each is compared on its own, so a NaN or infinite entry fails.
+    each is compared on its own, so a NaN or infinite entry fails.  A
+    larger input with a non-finite entry fails before the product, which
+    would warn on inf * 0.
     """
     m = as_matrix(m)
     if m.shape[0] == 2:
@@ -58,6 +61,8 @@ def is_unitary(m, tol: float = ATOL) -> bool:
             and abs(bc * a + dc * c) <= tol
             and abs(bc * b + dc * d - 1.0) <= tol
         )
+    if not np.isfinite(m).all():
+        return False
     eye = np.eye(m.shape[0])
     return bool(np.max(np.abs(m.conj().T @ m - eye)) <= tol)
 
@@ -111,6 +116,21 @@ def _dist_2x2_unitary(a: np.ndarray, b: np.ndarray) -> float:
     det = abs(m00 * m11 - m01 * m10)
     folded = min(1.0, tr / (2.0 * math.sqrt(det)))
     return math.sqrt(max(0.0, 2.0 - 2.0 * folded))
+
+
+def aligned_frob_2x2(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - p b||_F for 2x2 a and b, with p the phase of tr(b^dag a), or 1
+    when that trace is 0, on Python scalars.
+
+    p is the phase that minimizes the Frobenius distance, and the Frobenius
+    norm bounds the largest singular value, so for unitaries this is an
+    upper bound on dist(a, b), found with no eigensolver.
+    """
+    a_ = a.ravel().tolist()
+    b_ = b.ravel().tolist()
+    t = sum(y.conjugate() * x for x, y in zip(a_, b_))
+    p = t / abs(t) if t else 1.0
+    return math.sqrt(sum(abs(x - p * y) ** 2 for x, y in zip(a_, b_)))
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -34,10 +34,14 @@ Python scalars read once through .tolist(); numpy's per-call overhead on
 2x2 matrices and 3-vectors cost more than their arithmetic.  The
 transcendental functions stay numpy's, whose results differ from the math
 module's in the last bit on some inputs, so outputs are bit for bit those
-of the array form.  Refinement keeps whichever of the refined and
-unrefined candidates is closer, so achieved distance is monotone
-non-increasing in depth.  Only dimension 2 is refined; dimension 4 gets
-the depth-0 net lookup with an honestly reported distance.
+of the array form.  The commutator is formed once, to check it against
+u @ u'^dagger with no eigensolver: their Frobenius distance at the phase
+of their trace overlap bounds dist from above, so a commutator that
+passes that bound passes dist too.  Refinement keeps whichever of the
+refined and unrefined candidates is closer, so achieved distance is
+monotone non-increasing in depth.  Only dimension 2 is refined;
+dimension 4 gets the depth-0 net lookup with an honestly reported
+distance.
 
 The search measures the phase-free dist by default.  On request it
 measures the phase-fixed ||e - u||_2 instead, which a realified circuit
@@ -55,7 +59,15 @@ import numpy as np
 
 from .errors import BudgetNotMet, CapExceeded, CompileError, ValidationError
 from .gates import GateSet
-from .linalg import CLOSED_FORM_MIN, UNITARY_TOL, as_matrix, dist, is_unitary, phase_dist
+from .linalg import (
+    CLOSED_FORM_MIN,
+    UNITARY_TOL,
+    aligned_frob_2x2,
+    as_matrix,
+    dist,
+    is_unitary,
+    phase_dist,
+)
 
 DEFAULT_DEDUPE_TOL = 1e-4
 DEFAULT_EPS = 1e-2
@@ -427,7 +439,9 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     that angle and delta's axis: they are built in a frame around delta's
     axis, so no commutator is formed to read its axis back.  Everything
     but the transcendental functions, which stay numpy's, is arithmetic on
-    Python floats; the residual is still checked on the formed commutator.
+    Python floats.  The residual is still checked on the formed commutator,
+    through aligned_frob_2x2: an upper bound on dist that needs no
+    eigensolver, so the check is never looser than one on dist.
     """
     delta = as_matrix(delta)
     if delta.shape[0] != 2:
@@ -469,7 +483,7 @@ def gc_decompose(delta) -> tuple[np.ndarray, np.ndarray]:
     along, across = s / r, c / (r * root2)
     v = _rotation([along * n + ak / root2 - across * bk for n, ak, bk in zip(axis, a, b)], phi)
     w = _rotation([-along * n + ak / root2 + across * bk for n, ak, bk in zip(axis, a, b)], phi)
-    residual = dist(delta, v @ w @ v.conj().T @ w.conj().T)
+    residual = aligned_frob_2x2(delta, v @ w @ v.conj().T @ w.conj().T)
     if residual > COMMUTATOR_TOL:
         raise CompileError(
             f"group commutator residual {residual:.3e} above {COMMUTATOR_TOL:.1e}"

@@ -1,13 +1,16 @@
 """Statevector simulation and circuit equivalence checks.
 
 The simulator applies each gate as a local update on the amplitude tensor,
-never forming the 2^n x 2^n embedded matrix.  A gate whose matrix is a
-permutation (one entry per row, exactly 1: CCX, CNOT, X, or such a GENERIC
-matrix) copies each slice it moves to its new place through basic-index
-views, with no matmul and no full copy; any other gate is an axis
-permutation plus a small matmul.  When every gate matrix is real, as on
-every circuit that `transpile --to th` emits, the state is float64 and
-the matmuls use the real parts; otherwise it is complex.  The route follows from the
+never forming the 2^n x 2^n embedded matrix.  Each distinct gate of a
+circuit gets its matrix and its update plan once per simulation, and every
+occurrence runs that plan.  A gate whose matrix is a permutation (one
+entry per row, exactly 1: CCX, CNOT, X, or such a GENERIC matrix) copies
+each slice it moves to its new place through basic-index views, with no
+matmul and no full copy.  Any other gate is one transpose, planned with
+its inverse, that puts the operand axes first, then a small matmul and the
+inverse transpose.  When every gate matrix is real, as on every circuit
+that `transpile --to th` emits, the state is float64 and the matmuls use
+the real parts; otherwise it is complex.  The route follows from the
 matrices, not from an option.  That keeps the simulator an independent
 oracle against circuit_unitary, which gathers rows of a running matrix:
 the two routes share no state-update or index code, so their agreement
@@ -24,12 +27,12 @@ flag-qubit checks (realified and measurement-stats) read one loop,
 `_flag_outputs`: it checks the tolerance, the widths and the cap, builds
 U and yields its columns beside the simulated outputs in chunks of at
 most BATCH_AMPLITUDES amplitudes, and each check turns a chunk into
-deviations.
+deviations.  The realified check takes a whole chunk's deviation norms in
+one stacked product, summed per input as np.linalg.norm sums one row.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import partial
 
@@ -110,32 +113,33 @@ def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
     """(destination, source) basic indices for a permutation matrix, else None.
 
     m is a permutation when each row has exactly one nonzero entry, that
-    entry is exactly 1, and no two rows take the same column.  Output slice
-    r of the operand axes is then input slice src[r]; fixed points, where
-    src[r] == r, need no move and are left out.
+    entry is exactly 1, and no two rows take the same column.  With as many
+    nonzero entries as rows, a row that holds a 1 holds nothing else.
+    Output slice r of the operand axes is then input slice src[r]; fixed
+    points, where src[r] == r, need no move and are left out.
     """
-    src = []
-    for row in m.tolist():
-        cols = [j for j, x in enumerate(row) if x]
-        if len(cols) != 1 or row[cols[0]] != 1:
-            return None
-        src.append(cols[0])
-    if sorted(src) != list(range(len(src))):
+    if np.count_nonzero(m) != len(m):
         return None
-    # Local index r sets the operand bits bits[r], first operand most
-    # significant, which is the order itertools.product counts in.
-    bits = list(itertools.product((0, 1), repeat=len(qubits)))
+    try:
+        src = [row.index(1) for row in m.tolist()]
+    except ValueError:
+        return None
+    if len(set(src)) != len(src):
+        return None
+    k = len(qubits)
 
     def index(r: int) -> tuple:
+        # Local index r sets operand i to bit k-1-i of r: the first
+        # operand is the most significant.
         idx = [slice(None)] * (n + 1)
-        for q, bit in zip(qubits, bits[r]):
-            idx[q] = bit
+        for i, q in enumerate(qubits):
+            idx[q] = r >> (k - 1 - i) & 1
         return tuple(idx)
 
     return [(index(r), index(s)) for r, s in enumerate(src) if r != s]
 
 
-def _apply_moves(psi: np.ndarray, moves) -> np.ndarray:
+def _apply_moves(moves, psi: np.ndarray) -> np.ndarray:
     # Copy every source before writing any destination, so a slice that is
     # both read and written is read as it was.
     slabs = [psi[src].copy() for _, src in moves]
@@ -144,32 +148,40 @@ def _apply_moves(psi: np.ndarray, moves) -> np.ndarray:
     return psi
 
 
-def _apply_matrix(psi: np.ndarray, m: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    k = len(qubits)
-    moved = np.moveaxis(psi, qubits, range(k))
+def _apply_matrix(m: np.ndarray, front: tuple, back: tuple, psi: np.ndarray) -> np.ndarray:
+    # front puts the operand axes first and back undoes it: the same views
+    # as np.moveaxis there and back, so the copy and the matmul are too.
+    moved = psi.transpose(front)
     shape = moved.shape
-    moved = m @ moved.reshape(2**k, -1)
-    return np.moveaxis(moved.reshape(shape), range(k), qubits)
+    moved = m @ moved.reshape(len(m), -1)
+    return moved.reshape(shape).transpose(back)
+
+
+def _plan(m: np.ndarray, qubits: tuple[int, ...], n: int, real: bool):
+    """One gate's update psi -> psi': slice moves when m is a permutation,
+    else a matmul by m (its real part on a float64 state) between the
+    transpose that puts the operand axes first and its inverse."""
+    moves = _slice_moves(m, qubits, n)
+    if moves is not None:
+        return partial(_apply_moves, moves)
+    front = qubits + tuple(a for a in range(n + 1) if a not in qubits)
+    back = tuple(np.argsort(front).tolist())
+    return partial(_apply_matrix, m.real if real else m, front, back)
 
 
 def _simulate(c: Circuit, basis_indices: np.ndarray) -> np.ndarray:
     """Output states for a batch of basis inputs, one column per input.
 
     The columns are float64 when every gate matrix of c is real, complex
-    otherwise.  Raises ValidationError when a column's norm is off 1 by
-    more than NORM_ATOL.
+    otherwise.  Each distinct gate gets its matrix and its plan once.
+    Raises ValidationError when a column's norm is off 1 by more than
+    NORM_ATOL.
     """
     n = c.n_qubits
     batch = len(basis_indices)
-    mats = {g: gate_matrix(g) for g in c.gates}
+    mats = {g: gate_matrix(g) for g in dict.fromkeys(c.gates)}
     real = not any(np.any(m.imag) for m in mats.values())
-    plans = {}
-    for g, m in mats.items():
-        moves = _slice_moves(m, g.qubits, n)
-        if moves is None:
-            plans[g] = partial(_apply_matrix, m=m.real if real else m, qubits=g.qubits)
-        else:
-            plans[g] = partial(_apply_moves, moves=moves)
+    plans = {g: _plan(m, g.qubits, n, real) for g, m in mats.items()}
     psi = np.zeros((2**n, batch), dtype=float if real else complex)
     psi[basis_indices, np.arange(batch)] = 1.0
     psi = psi.reshape((2,) * n + (batch,))
@@ -247,13 +259,16 @@ def check_realified(
         expected = np.empty(got.shape)
         expected[0::2] = u.real
         expected[1::2] = u.imag
-        # One norm per contiguous row sums each input's difference in the
-        # same order whatever the chunk size, so deviations (and the argmax
-        # among near-equal ones) do not depend on BATCH_AMPLITUDES.  The rows
-        # are complex even after a float64 pass, so the norm sums them the
-        # same way on both simulator routes.
+        # One contiguous complex row per input, whatever the chunk size and
+        # the simulator's route, so each input's sum of squares runs in the
+        # same order and deviations (and the argmax among near-equal ones)
+        # do not depend on BATCH_AMPLITUDES.  The stacked (1, R) @ (R, 1)
+        # products take the same strided dot over the real and imaginary
+        # parts as np.linalg.norm on each row, bit for bit.
         diff = np.ascontiguousarray((got - expected).T, dtype=complex)
-        deviations += [float(np.linalg.norm(row)) for row in diff]
+        re, im = diff.real[:, None, :], diff.imag[:, None, :]
+        sq = re @ np.swapaxes(re, 1, 2) + im @ np.swapaxes(im, 1, 2)
+        deviations += np.sqrt(sq[:, 0, 0]).tolist()
     return _report("realified", deviations, tol, int(np.argmax(deviations)))
 
 

@@ -4,8 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from threbase import dist, haar_unitary, is_unitary, phase_dist
-from threbase.linalg import ATOL, UNITARY_TOL, _dist_2x2_unitary
+from threbase import Gate, GateKind, dist, haar_unitary, is_unitary, phase_dist
+from threbase.linalg import ATOL, UNITARY_TOL, _dist_2x2_unitary, aligned_frob_2x2
 from threbase.errors import ValidationError
 
 I2 = np.eye(2, dtype=complex)
@@ -209,6 +209,43 @@ def test_is_unitary_2x2_refuses_non_finite_entries(bad, pos):
         assert not is_unitary(m)
         assert not is_unitary(m, UNITARY_TOL)
     assert not is_unitary(np.diag([1.0, bad]))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, complex(0, math.inf), math.nan])
+@pytest.mark.parametrize("dim", [4, 8])
+def test_is_unitary_dense_refuses_non_finite_entries_without_warning(bad, dim):
+    # inf * 0 in m^dag m warns "invalid value encountered in matmul"; the
+    # dense branch rejects a non-finite entry before forming the product.
+    m = np.eye(dim, dtype=complex)
+    m[0, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert not is_unitary(m)
+        assert not is_unitary(m, UNITARY_TOL)
+        if dim == 4:
+            with pytest.raises(ValidationError, match="not unitary"):
+                Gate(GateKind.GENERIC, (0, 1), m)
+
+
+def test_aligned_frobenius_bounds_dist():
+    # gc_decompose judges its commutator residual by this bound, so it must
+    # never read below dist: on Haar pairs, and on pairs a small rotation
+    # apart, from 1e-9 to 1e-2 (the residual's own scale is far below).
+    rng = np.random.default_rng(41)
+    Y = np.array([[0, -1j], [1j, 0]])
+    Z = np.diag([1.0, -1.0])
+    for _ in range(200):
+        a = haar_unitary(2, rng)
+        b = haar_unitary(2, rng)
+        assert aligned_frob_2x2(a, b) >= dist(a, b)
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        t = 10 ** rng.uniform(-9, -2)
+        r = math.cos(t / 2) * I2 - 1j * math.sin(t / 2) * (n[0] * X + n[1] * Y + n[2] * Z)
+        near = np.exp(1j * rng.uniform(0, 2 * np.pi)) * r @ a
+        assert aligned_frob_2x2(near, a) >= dist(near, a)
+    # A zero trace leaves the phase at 1: X against Z.
+    assert aligned_frob_2x2(X, Z) == 2.0 >= dist(X, Z)
 
 
 def numpy_scalar_dist_2x2(a, b):

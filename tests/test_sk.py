@@ -23,7 +23,7 @@ from threbase import (
     sk_trace,
 )
 from threbase import io, sk
-from threbase.errors import CapExceeded, ValidationError
+from threbase.errors import CapExceeded, CompileError, ValidationError
 from threbase.sk import (
     COMMUTATOR_TOL,
     GC_MAX_DIST,
@@ -477,6 +477,23 @@ def test_commutator_threshold_agrees_with_dist():
                 v, w = gc_decompose(delta)
                 assert dist(delta, v @ w @ v.conj().T @ w.conj().T) <= COMMUTATOR_TOL
     assert refused == [False, False, True, True]
+
+
+def test_commutator_residual_check_catches_a_perturbed_rotation(monkeypatch):
+    # One entry of each rotation off by 1e-8 leaves a commutator about
+    # 1e-8 from delta, above COMMUTATOR_TOL, which the check must refuse.
+    real_rotation = sk._rotation
+
+    def perturbed(axis, angle):
+        r = real_rotation(axis, angle)
+        r[0, 0] += 1e-8
+        return r
+
+    delta = rotation([1, -2, 0.5], 0.3)
+    gc_decompose(delta)
+    monkeypatch.setattr(sk, "_rotation", perturbed)
+    with pytest.raises(CompileError, match="group commutator residual"):
+        gc_decompose(delta)
 
 
 # --- recursion ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -387,3 +389,132 @@ def test_one_complex_gate_keeps_the_complex_route(odd):
                  Gate(GateKind.H, (1,)), Gate(GateKind.CNOT, (1, 2))]
     c = Circuit(3, real_part[:2] + [odd] + real_part[2:])
     assert_matches_reference(c, np.arange(8), complex)
+
+
+# --- the planned simulator against the per-gate moveaxis loop --------------
+
+
+def moveaxis_simulate(c, inputs):
+    """The simulator as a per-gate loop, bit for bit what the plans must
+    give: every occurrence looks up its matrix and tests the permutation
+    rule again, a permutation moves slices, and any other gate is two
+    np.moveaxis calls around a matmul, on float64 when every matrix is
+    real."""
+    n = c.n_qubits
+    batch = len(inputs)
+    mats = [gate_matrix(g) for g in c.gates]
+    real = not any(np.any(m.imag) for m in mats)
+    psi = np.zeros((2**n, batch), dtype=float if real else complex)
+    psi[inputs, np.arange(batch)] = 1.0
+    psi = psi.reshape((2,) * n + (batch,))
+    for g, m in zip(c.gates, mats):
+        k = len(g.qubits)
+        src = []
+        for row in m.tolist():
+            cols = [j for j, x in enumerate(row) if x]
+            if len(cols) != 1 or row[cols[0]] != 1:
+                src = None
+                break
+            src.append(cols[0])
+        if src is not None and sorted(src) == list(range(len(src))):
+            bits = list(itertools.product((0, 1), repeat=k))
+
+            def index(r):
+                idx = [slice(None)] * (n + 1)
+                for q, bit in zip(g.qubits, bits[r]):
+                    idx[q] = bit
+                return tuple(idx)
+
+            moves = [(index(r), index(s)) for r, s in enumerate(src) if r != s]
+            slabs = [psi[s].copy() for _, s in moves]
+            for (dst, _), slab in zip(moves, slabs):
+                psi[dst] = slab
+            continue
+        moved = np.moveaxis(psi, g.qubits, range(k))
+        shape = moved.shape
+        moved = (m.real if real else m) @ moved.reshape(2**k, -1)
+        psi = np.moveaxis(moved.reshape(shape), range(k), g.qubits)
+    return psi.reshape(2**n, batch)
+
+
+def assert_bitwise_as_loop(c, inputs, amplitudes):
+    """_simulate equals the loop bytewise on the chunks that a check at
+    this BATCH_AMPLITUDES feeds it, and on a batch of one."""
+    from threbase.verify import _simulate
+
+    size = max(1, amplitudes >> c.n_qubits)
+    for start in range(0, len(inputs), size):
+        chunk = inputs[start : start + size]
+        got, want = _simulate(c, chunk), moveaxis_simulate(c, chunk)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+    for j in (0, len(inputs) - 1):
+        one = inputs[j : j + 1]
+        assert _simulate(c, one).tobytes() == moveaxis_simulate(c, one).tobytes()
+
+
+@pytest.mark.parametrize("amplitudes", [1 << 18, 1 << 8, 1 << 5])
+def test_simulate_is_the_moveaxis_loop_bitwise(corpus, amplitudes):
+    # Realified circuits take the float64 route, their {H, CS} originals
+    # the complex one; mixed circuits add GENERIC permutations and dense
+    # matrices on up to three operands.
+    routes = set()
+    for c, real in realified_pairs(corpus[:20]):
+        for circ, inputs in ((real, 2 * np.arange(2**c.n_qubits)),
+                             (c, np.arange(2**c.n_qubits))):
+            assert_bitwise_as_loop(circ, inputs, amplitudes)
+            routes.add(moveaxis_simulate(circ, inputs[:1]).dtype)
+    rng = np.random.default_rng(13)
+    for real in (True, False):
+        for _ in range(6):
+            c = random_mixed(int(rng.integers(3, 6)), 30, rng, real)
+            assert_bitwise_as_loop(c, np.arange(2**c.n_qubits), amplitudes)
+    assert routes == {np.dtype(float), np.dtype(complex)}
+    # Rows that hold an exact 1 beside a tiny entry: not a permutation, so
+    # the matmul route applies the tiny entries.
+    near = np.array([[1, 1e-11], [-1e-11, 1]])
+    c = Circuit(3, [Gate(GateKind.H, (0,)), Gate(GateKind.H, (2,)),
+                    Gate(GateKind.GENERIC, (2,), near), Gate(GateKind.CCX, (0, 2, 1))])
+    assert_bitwise_as_loop(c, np.arange(8), amplitudes)
+
+
+def test_realified_deviations_are_the_row_norm_loop_bitwise(corpus, monkeypatch):
+    from threbase import verify
+
+    planted = 0
+    for c, real in realified_pairs(corpus):
+        u = circuit_unitary(c)
+        got = moveaxis_simulate(real, 2 * np.arange(2**c.n_qubits))
+        expected = np.empty(got.shape)
+        expected[0::2] = u.real
+        expected[1::2] = u.imag
+        diff = np.ascontiguousarray((got - expected).T, dtype=complex)
+        want = np.array([float(np.linalg.norm(row)) for row in diff])
+        rep = check_realified(c, real)
+        assert np.array(rep.deviations).tobytes() == want.tobytes()
+        planted += not rep.passed
+    assert planted > 0
+    monkeypatch.setattr(verify, "BATCH_AMPLITUDES", 1 << 5)
+    assert check_realified(c, real).deviations == rep.deviations
+
+
+def test_simulate_plans_each_distinct_gate_once(monkeypatch):
+    from threbase import verify
+
+    calls = {"gate_matrix": [], "_slice_moves": []}
+    for name in calls:
+        real_fn = getattr(verify, name)
+
+        def counted(g, *rest, _fn=real_fn, _log=calls[name]):
+            _log.append(g)
+            return _fn(g, *rest)
+
+        monkeypatch.setattr(verify, name, counted)
+    rng = np.random.default_rng(17)
+    c = realify_circuit(random_hcs(4, 40, rng))[0]
+    distinct = len(set(c.gates))
+    assert distinct < len(c.gates)
+    for k in (1, 2):
+        verify._simulate(c, 2 * np.arange(16))
+        assert len(calls["gate_matrix"]) == k * distinct
+        assert len(calls["_slice_moves"]) == k * distinct
