@@ -8,11 +8,11 @@ validation error, 3 entry/qubit cap exceeded.
 
 transpile is one pipeline: --to kitaev rewrites over {H, CS}, each named
 gate (CCX included) by its exact word; --to th does the same rewrite,
-keeping CCX, then realifies onto {H, CCX} with one flag qubit.  A th input
-already over {H, CCX} passes through unchanged.  Only GENERIC gates are
-approximated, so the two-qubit kitaev net (built at length 8, or read
-from --net) is only made when the circuit has one, and a --net file is
-read, and a bad one reported, only then.
+keeping CCX, then realifies onto {H, CCX} with one flag qubit, which every
+th output has.  Only GENERIC gates are approximated, so the two-qubit
+kitaev net (built at length 8, or read from --net) is only made when the
+circuit has one, and a --net file is read, and a bad one reported, only
+then.
 
 TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
 12).  verify --mode realified and --mode stats apply it to the realified
@@ -34,13 +34,7 @@ from .circuit import MAX_QUBITS
 from .errors import BudgetNotMet, CapExceeded, CompileError, ValidationError
 from .gates import BUILTIN_GATE_SETS
 from .linalg import haar_unitary
-from .passes import (
-    REALIFY_ALPHABET,
-    TARGET_ALPHABET,
-    needs_net,
-    realify_circuit,
-    rebase_circuit,
-)
+from .passes import needs_net, realify_circuit, rebase_circuit
 
 
 def _cap() -> int:
@@ -103,14 +97,10 @@ def cmd_transpile(args) -> int:
         raise ValidationError(f"eps must be positive, got {args.eps}")
     c = tio.parse_circuit(_read(args.input))
     th = args.to == "th"
-    if th and {g.kind for g in c.gates} <= set(TARGET_ALPHABET):
-        out, error_bound = c, 0.0
-    else:
-        keep = REALIFY_ALPHABET if th else ()
-        net = _kitaev_net(args) if needs_net(c, keep) else None
-        out, error_bound = rebase_circuit(c, net, args.eps, keep, phase_fixed=th)
-        if th:
-            out, _ = realify_circuit(out)
+    net = _kitaev_net(args) if needs_net(c) else None
+    out, error_bound = rebase_circuit(c, net, args.eps, th)
+    if th:
+        out, _ = realify_circuit(out)
 
     text = tio.emit_circuit(out)
     lines = _report_lines(

@@ -11,7 +11,8 @@ parse_net checks that structure and rebuilds every matrix with
 sk.net_from_sequences, bit for bit as build_net formed it, into one
 read-only (N, d, d) stack beside the sequences; no per-entry object is
 made.  emit_net writes the sequences straight from net.seqs.  A version-1
-cache, which stored matrices, is refused.
+cache, which stored matrices, is refused.  In both formats a key repeated
+within one object is refused rather than letting the last one win.
 
 Documents are long lists of a few distinct gates, so the work scales with
 the distinct gates rather than the total:
@@ -85,9 +86,21 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _object(pairs: list) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        repeated = next(k for i, k in enumerate(keys) if k in keys[:i])
+        raise ValidationError(f"repeated key {repeated!r}")
+    return obj
+
+
 def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
+    except ValidationError as e:
+        raise ValidationError(f"malformed {what}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(
             f"malformed {what} at line {e.lineno} column {e.colno}: {e.msg}"

@@ -20,11 +20,11 @@ exact without controlling the Hadamards.  H and CCX are real, so each
 realifies to itself tensored with the identity on the flag qubit.
 
 Rebasing onto {H, CS} is gate by gate as well.  Every named gate, the
-Toffoli included, has an exact word and is replaced by it, read from one
-table built at import; a one-qubit gate's word also uses a fixed partner
-qubit, on which it acts as the identity.  Only GENERIC gates are
-approximated, each by a two-qubit net entry.  Both passes return
-(circuit, error_bound).
+Toffoli included, has an exact word, read from one table built at import;
+a one-qubit gate's word also uses a fixed partner qubit, on which it acts
+as the identity.  H and CS are their own words and pass through, as does
+CCX on the th route.  Only GENERIC gates are approximated, each by a
+two-qubit net entry.  Both passes return (circuit, error_bound).
 """
 
 from __future__ import annotations
@@ -34,13 +34,10 @@ import numpy as np
 from . import sk as sk_mod
 from .circuit import Circuit
 from .errors import BudgetNotMet, ValidationError
-from .gates import Gate, GateKind, gate_matrix
+from .gates import Gate, GateKind
 from .linalg import as_matrix, is_unitary
 
 _J = np.array([[0.0, -1.0], [1.0, 0.0]], dtype=complex)
-
-REALIFY_ALPHABET = (GateKind.H, GateKind.CS, GateKind.CCX)
-TARGET_ALPHABET = (GateKind.H, GateKind.CCX)
 
 
 def realify_matrix(u) -> np.ndarray:
@@ -123,50 +120,43 @@ def rebase_exact(g: Gate) -> list[Gate] | None:
     return [Gate(kind, tuple(ops[i] for i in slots)) for kind, slots in word]
 
 
-def _pending(c: Circuit, keep) -> int:
-    """Gates of c that are neither kept nor exactly rewritten."""
-    return sum(g.kind not in keep and g.kind not in _EXACT_WORDS for g in c.gates)
-
-
-def needs_net(c: Circuit, keep=()) -> bool:
-    """Whether rebase_circuit(c, net, eps, keep) searches the net at all."""
-    return _pending(c, keep) > 0
+def needs_net(c: Circuit) -> bool:
+    """Whether rebase_circuit searches the net: only GENERIC gates take it."""
+    return any(g.kind is GateKind.GENERIC for g in c.gates)
 
 
 def _approx_target(g: Gate) -> tuple[np.ndarray, tuple[int, int]]:
-    """Two-qubit unitary and qubit pair for a gate with no exact expansion."""
+    """Two-qubit unitary and qubit pair for a GENERIC gate."""
     if len(g.qubits) == 2:
-        a, b = g.qubits
-        return np.asarray(gate_matrix(g), dtype=complex), (a, b)
+        return g.matrix, g.qubits
     if len(g.qubits) != 1:
         raise ValidationError(
             f"cannot rebase a {len(g.qubits)}-qubit gate; only gates on "
             "one or two qubits are supported"
         )
     q = g.qubits[0]
-    return np.kron(gate_matrix(g), np.eye(2)), (q, _partner(q))
+    return np.kron(g.matrix, np.eye(2)), (q, _partner(q))
 
 
 def rebase_circuit(
-    c: Circuit, net: "sk_mod.Net | None", eps: float, keep=(), phase_fixed: bool = False
+    c: Circuit, net: "sk_mod.Net | None", eps: float, th: bool = False
 ) -> tuple[Circuit, float]:
     """Rewrite a circuit over {H, CS}; returns (circuit, error_bound).
 
-    Each gate takes one of three routes, in circuit order: a kind in `keep`
-    passes through unchanged (the th route keeps CCX, which realification
-    accepts as it is), a named gate is replaced by its exact word, and a
+    th is true on the th route, false on kitaev.  Each gate takes one of
+    three paths, in circuit order: H and CS, and CCX on th, pass through
+    unchanged; another named gate is replaced by its exact word; and a
     GENERIC gate is approximated by its nearest net entry.  net may be None
-    when needs_net(c, keep) is false.  The accuracy budget eps is split
-    uniformly over the approximated gates; error_bound is the sum of their
-    achieved distances.  Every gate but H of a one-qubit circuit needs a
-    partner qubit, so such a circuit is refused.
+    when needs_net(c) is false.  The accuracy budget eps is split uniformly
+    over the GENERIC gates; error_bound is the sum of their achieved
+    distances.  Every gate but H of a one-qubit circuit needs a partner
+    qubit, so such a circuit is refused.
 
-    The distance is the phase-free dist by default, which bounds what
-    `verify --mode exact` measures.  With phase_fixed, entries are chosen
-    and summed by ||W - U||_2 instead: realification maps e^{i phi} U to a
-    different real matrix than U but keeps the operator norm, so on the th
-    route only the phase-fixed sum bounds what `verify --mode realified`
-    measures.
+    On kitaev the distance is the phase-free dist, which bounds what
+    `verify --mode exact` measures.  On th, entries are chosen and summed
+    by ||W - U||_2 instead: realification maps e^{i phi} U to a different
+    real matrix than U but keeps the operator norm, so only the
+    phase-fixed sum bounds what `verify --mode realified` measures.
 
     The net is searched once per distinct target matrix in this call: one
     GENERIC matrix on qubit 0 and on qubit 2 approximates the same
@@ -176,8 +166,10 @@ def rebase_circuit(
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    pending = _pending(c, keep)
-    budget = eps / pending if pending else eps
+    generic = sum(g.kind is GateKind.GENERIC for g in c.gates)
+    budget = eps / generic if generic else eps
+    # H and CS are their own exact words; realification accepts CCX as it is.
+    keep = (GateKind.H, GateKind.CS, GateKind.CCX) if th else (GateKind.H, GateKind.CS)
     out: list[Gate] = []
     total_err = 0.0
     searched: dict[bytes, tuple[tuple[str, ...], float]] = {}
@@ -185,13 +177,12 @@ def rebase_circuit(
         if g.kind in keep:
             out.append(g)
             continue
-        if c.n_qubits < 2 and g.kind is not GateKind.H:
+        if c.n_qubits < 2:
             raise ValidationError(
                 f"rewriting {g.kind.value} needs a second qubit; "
                 "the circuit has only one"
             )
-        # A GENERIC gate is its own matrix; only named kinds are looked up.
-        word = None if g.kind is GateKind.GENERIC else rebase_exact(g)
+        word = rebase_exact(g)
         if word is not None:
             out.extend(word)
             continue
@@ -199,7 +190,7 @@ def rebase_circuit(
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
-            k, achieved = sk_mod._nearest(net, target, phase_fixed)
+            k, achieved = sk_mod._nearest(net, target, th)
             found = searched[key] = (net.seqs[k], achieved)
         seq, achieved = found
         if achieved > budget:

@@ -83,12 +83,23 @@ def test_transpile_th_realifies_kitaev_circuit(capsys, kitaev_file, tmp_path):
 
 
 def test_transpile_th_passthrough_when_already_in_target(capsys, tmp_path):
+    # Every gate of an {H, CCX} input passes through, and the output still
+    # carries the flag qubit, so the realified check reads the pair.
     c = Circuit(3, [Gate(GateKind.CCX, (0, 1, 2)), Gate(GateKind.H, (1,))])
     f = write_circuit(tmp_path / "th.json", c)
-    assert main(["transpile", f, "--to", "th"]) == 0
-    cap = capsys.readouterr()
-    assert cap.out == emit_circuit(c)
-    assert "output_qubits: 3\n" in cap.err
+    out_path = tmp_path / "th_out.json"
+    assert main(["transpile", f, "--to", "th", "-o", str(out_path)]) == 0
+    assert "output_qubits: 4\n" in capsys.readouterr().out
+    assert out_path.read_text() == emit_circuit(Circuit(4, c.gates))
+    assert main(["verify", f, str(out_path), "--mode", "realified"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+
+
+def test_transpile_kitaev_writes_h_cs_input_bytes(capsys, kitaev_file, tmp_path):
+    out_path = tmp_path / "out.json"
+    assert main(["transpile", kitaev_file, "--to", "kitaev", "-o", str(out_path)]) == 0
+    assert "error_bound: 0\n" in capsys.readouterr().out
+    assert out_path.read_bytes() == Path(kitaev_file).read_bytes()
 
 
 def test_transpile_kitaev_rewrites_exact_table(capsys, tmp_path, kitaev_net_file):
@@ -145,14 +156,13 @@ GOLDEN = Path(__file__).parent / "data" / "transpile"
     ("mixed", "kitaev"), ("mixed", "th"), ("mixed_ccx", "th"), ("h_ccx", "th"),
 ])
 def test_transpile_golden_bytes(capsys, tmp_path, name, to):
-    # The inputs take every route: pass-through (H, CS, and a whole
-    # {H, CCX} circuit on th), the exact words in both operand orders (X
-    # and S on qubits 0 and 2 with their partners), net search (one
-    # two-qubit GENERIC) and CCX kept on th.  h_ccx's expected files are
-    # the output of the code as it stood before transpile was reduced to
-    # one word table and one loop; the mixed ones were regenerated when X,
-    # Z, S and SDG took their exact words, and their th files again when th
-    # chose and summed net entries by the phase-fixed distance.
+    # The inputs take every route: pass-through (H and CS, and CCX on th,
+    # here also a whole {H, CCX} circuit), the exact words in both operand
+    # orders (X and S on qubits 0 and 2 with their partners) and net search
+    # (one two-qubit GENERIC).  h_ccx's th files were regenerated when th
+    # output always gained the flag qubit; the mixed ones were regenerated
+    # when X, Z, S and SDG took their exact words, and their th files again
+    # when th chose and summed net entries by the phase-fixed distance.
     out_path = tmp_path / "out.json"
     src = str(GOLDEN / f"{name}.in.json")
     assert main(["transpile", src, "--to", to, "--eps", "10", "-o", str(out_path)]) == 0
@@ -387,6 +397,17 @@ def test_transpile_net_must_be_two_qubit(capsys, tmp_path):
     code = main(["transpile", f, "--to", "kitaev", "--net", str(ht)])
     assert code == 2
     assert "1-qubit gate set" in capsys.readouterr().err
+
+
+def test_transpile_refuses_repeated_keys(capsys, tmp_path):
+    src = tmp_path / "dup.json"
+    src.write_text(
+        '{"version":1,"qubits":2,"qubits":1,"gates":[{"name":"H","qubits":[0]}]}'
+    )
+    out = tmp_path / "out.json"
+    assert main(["transpile", str(src), "--to", "kitaev", "-o", str(out)]) == 2
+    assert "repeated key 'qubits'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_transpile_refuses_boolean_qubit_count(capsys, tmp_path):

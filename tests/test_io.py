@@ -127,6 +127,16 @@ def test_circuit_refuses_non_finite_matrix_entries(literal, part):
             parse_circuit(text)
 
 
+@pytest.mark.parametrize("text", [
+    '{"version":1,"qubits":2,"qubits":1,"gates":[{"name":"H","qubits":[0]}]}',
+    '{"version":1,"qubits":2,"gates":[{"name":"H","qubits":[0],"qubits":[1]}]}',
+], ids=["header", "gate"])
+def test_circuit_refuses_repeated_keys(text):
+    # The last key would win: the header one makes a 2-qubit circuit 1-qubit.
+    with pytest.raises(ValidationError, match="malformed circuit file: repeated key 'qubits'"):
+        parse_circuit(text)
+
+
 def test_circuit_qubit_range_error():
     with pytest.raises(ValidationError):
         parse_circuit('{"version":1,"qubits":1,"gates":[{"name":"H","qubits":[1]}]}')
@@ -209,6 +219,18 @@ def test_net_entry_validation():
     doc["entries"][0]["matrix"] = [[1, 0], [0, 0], [0, 0], [1, 0]]
     with pytest.raises(ValidationError, match=r"entries\[0\]: unknown field 'matrix'"):
         parse_net(json.dumps(doc))
+
+
+def test_net_refuses_repeated_keys():
+    text = emit_net(build_net(kitaev_gate_set(), 1))
+    assert parse_net(text)
+    header = text.replace('"max_len":1,', '"max_len":1,"max_len":1,', 1)
+    with pytest.raises(ValidationError, match="malformed net cache: repeated key 'max_len'"):
+        parse_net(header)
+    entry = text.replace('{"seq":["H0"]}', '{"seq":["H0"],"seq":["H0"]}', 1)
+    assert entry != text
+    with pytest.raises(ValidationError, match="malformed net cache: repeated key 'seq'"):
+        parse_net(entry)
 
 
 def test_version_one_net_cache_is_refused():

@@ -192,8 +192,27 @@ def test_rebase_circuit_needs_no_net_for_named_gates():
     assert {g.kind for g in out.gates} <= {GateKind.H, GateKind.CS}
     assert dist(circuit_unitary(out), circuit_unitary(c)) < 1e-12
     # th keeps CCX as it is.
-    kept, _ = rebase_circuit(c, None, eps=1e-12, keep=(GateKind.CCX,))
+    kept, _ = rebase_circuit(c, None, eps=1e-12, th=True)
     assert kept.gates.count(Gate(GateKind.CCX, (2, 0, 1))) == 1
+
+
+@pytest.mark.parametrize("th", [False, True], ids=["kitaev", "th"])
+def test_rebase_circuit_keeps_h_and_cs_objects(th):
+    # H and CS are their own exact words, so both routes emit the input's
+    # own Gate objects rather than building equal ones.
+    c = Circuit(3, [
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CS, (2, 1)),
+        Gate(GateKind.X, (1,)),
+        Gate(GateKind.CCX, (0, 1, 2)),
+        Gate(GateKind.CS, (0, 2)),
+        Gate(GateKind.H, (2,)),
+    ])
+    out, _ = rebase_circuit(c, None, eps=1e-12, th=th)
+    # The words of X (and of CCX on kitaev) lie between the kept gates.
+    ends = out.gates[:2] + out.gates[-2:]
+    assert all(got is g for got, g in zip(ends, c.gates[:2] + c.gates[-2:]))
+    assert any(got is c.gates[3] for got in out.gates) == th
 
 
 def test_pauli_x_is_no_net_product():
