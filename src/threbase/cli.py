@@ -57,6 +57,8 @@ def _read(path: str) -> str:
             return f.read()
     except OSError as e:
         raise ValidationError(f"cannot read {path}: {e.strerror}") from None
+    except UnicodeDecodeError:
+        raise ValidationError(f"cannot read {path}: not UTF-8 text") from None
 
 
 def _write(path: str | None, text: str):

@@ -16,10 +16,18 @@ within one object is refused rather than letting the last one win.
 
 Documents are long lists of a few distinct gates, so the work scales with
 the distinct gates rather than the total:
-  - parse_circuit interns gates within one document: a gate whose raw JSON
-    value marshals to the same bytes as that of an earlier gate that
-    validated reuses its Gate (frozen, read-only matrix) instead of being
-    validated again;
+  - parse_circuit first tries the canonical reading, for documents that
+    emit_circuit wrote: the fixed header, gate texts split on "},{", and
+    the fixed tail.  Each distinct gate text is decoded once, by the same
+    JSON reader and _parse_gate, and accepted only if _emit_gate writes
+    its gate back as the same text.  An accepted document is then
+    emit_circuit(result) byte for byte, and by the round trip the general
+    reader would return an equal circuit.  Anything else, errors included,
+    goes to the general reader, so every message comes from it;
+  - the general reader interns gates within one document: a gate whose
+    raw JSON value marshals to the same bytes as that of an earlier gate
+    that validated reuses its Gate (frozen, read-only matrix) instead of
+    being validated again;
   - emit_circuit formats each distinct Gate once per call;
   - parse_net makes a few C-level tests per entry and leaves naming the
     first bad entry to a helper that runs only on failure.
@@ -32,6 +40,7 @@ import cmath
 import json
 import marshal
 import math
+import re
 
 import numpy as np
 
@@ -105,6 +114,9 @@ def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
         raise ValidationError(
             f"malformed {what} at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
+    except ValueError as e:
+        # An integer beyond Python's digit limit for int(), not a syntax error.
+        raise ValidationError(f"malformed {what}: {e}") from None
     except RecursionError:
         raise ValidationError(f"malformed {what}: nested too deeply") from None
     if not isinstance(doc, dict):
@@ -167,7 +179,57 @@ def _parse_gate(raw, where: str) -> Gate:
         raise ValidationError(f"{where}: {e}") from None
 
 
+# What emit_circuit writes around the gate texts; str() of a qubit count is
+# ASCII digits with no leading zero.
+_HEAD = re.compile(r'\{"version":%d,"qubits":([1-9][0-9]*),"gates":\[' % FORMAT_VERSION)
+_TAIL = "]}\n"
+
+
 def parse_circuit(text: str) -> Circuit:
+    """The circuit in a version-1 document; ValidationError if it is malformed.
+
+    A document that emit_circuit wrote is read with one JSON decode per
+    distinct gate (_parse_canonical); any other goes to _parse_general.
+    """
+    c = _parse_canonical(text)
+    return c if c is not None else _parse_general(text)
+
+
+def _parse_canonical(text: str) -> Circuit | None:
+    """The circuit of text if it is exactly what emit_circuit writes, else None.
+
+    Gate texts hold no braces, so a canonical body splits on "},{" into
+    them.  A piece is accepted only when _emit_gate writes its gate back as
+    the same bytes; then the header, the pieces and the tail are
+    emit_circuit(result).  A piece that fails to decode or validate, a
+    qubit count int() refuses, or a Circuit error returns None, so that
+    the general reader reports it with its gates[i] index.
+    """
+    head = _HEAD.match(text)
+    if head is None or not text.endswith(_TAIL):
+        return None
+    body = text[head.end() : -len(_TAIL)]
+    if body and not (body[0] == "{" and body[-1] == "}"):
+        return None
+    interned: dict[str, Gate] = {}
+    gates = []
+    try:
+        n_qubits = int(head[1])
+        for piece in body[1:-1].split("},{") if body else ():
+            gate = interned.get(piece)
+            if gate is None:
+                raw = json.loads("{" + piece + "}", object_pairs_hook=_object)
+                gate = _parse_gate(raw, "gate")
+                if _emit_gate(gate) != "{" + piece + "}":
+                    return None
+                interned[piece] = gate
+            gates.append(gate)
+        return Circuit(n_qubits, gates)
+    except (ValueError, ValidationError, RecursionError):
+        return None
+
+
+def _parse_general(text: str) -> Circuit:
     doc = _load_json(text, "circuit file", FORMAT_VERSION)
     qubits = doc.get("qubits")
     if not _is_int(qubits) or qubits < 1:

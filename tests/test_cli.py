@@ -322,6 +322,63 @@ def test_deeply_nested_input_exits_2(capsys, tmp_path):
         assert captured.err == f"error: malformed {what}: nested too deeply\n"
 
 
+def int_digit_limit() -> int:
+    """Python's limit on the digits int() converts; 0 where there is none."""
+    import sys
+
+    get = getattr(sys, "get_int_max_str_digits", None)
+    return get() if get else 0
+
+
+@pytest.mark.parametrize("fault", ["not-utf8", "long-int"])
+def test_unreadable_input_exits_2(capsys, tmp_path, fault):
+    # Exit 1 is kept for a verdict or BudgetNotMet; a file that cannot be
+    # decoded is a usage error on every command that reads one.
+    if fault == "long-int" and not 0 < int_digit_limit() < 5000:
+        pytest.skip("this Python converts integers of any length")
+    u = haar_unitary(2, np.random.default_rng(3))
+    good = write_circuit(tmp_path / "u.json", Circuit(2, [Gate(GateKind.GENERIC, (1,), u)]))
+    good_net = tmp_path / "k1.json"
+    assert main(["net", "build", "--set", "kitaev", "--max-len", "1", "-o", str(good_net)]) == 0
+    capsys.readouterr()
+    text, net_text = Path(good).read_text(), good_net.read_text()
+    if fault == "not-utf8":
+        circuits, net = [b"\xff{"], b"\xff{"
+    else:
+        entry = json.loads(text)["gates"][0]["matrix"][1][0]
+        circuits = [
+            text.replace('"qubits":2', '"qubits":' + "1" * 5000, 1).encode(),
+            text.replace(json.dumps(entry), "1" * 5001, 1).encode(),
+        ]
+        net = net_text.replace('"max_len":1', '"max_len":' + "1" * 5000, 1).encode()
+    bad_net = tmp_path / "bad_net.json"
+    bad_net.write_bytes(net)
+    runs = [
+        (["net", "inspect", str(bad_net)], bad_net, "net cache"),
+        (["transpile", good, "--to", "kitaev", "--net", str(bad_net)], bad_net, "net cache"),
+    ]
+    for k, data in enumerate(circuits):
+        bad = tmp_path / f"bad{k}.json"
+        bad.write_bytes(data)
+        assert bad.read_bytes() != Path(good).read_bytes()
+        runs += [
+            (["transpile", str(bad), "--to", "kitaev"], bad, "circuit file"),
+            (["transpile", str(bad), "--to", "th"], bad, "circuit file"),
+            (["verify", str(bad), good], bad, "circuit file"),
+            (["verify", good, str(bad)], bad, "circuit file"),
+            (["simulate", str(bad), "--input", "00"], bad, "circuit file"),
+        ]
+    for argv, path, what in runs:
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if fault == "not-utf8":
+            assert captured.err == f"error: cannot read {path}: not UTF-8 text\n"
+        else:
+            assert captured.err.startswith(f"error: malformed {what}: ")
+            assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+
 PARSER_BYTES = Path(__file__).parent / "data" / "cli" / "parser_bytes.json"
 
 

@@ -9,14 +9,20 @@ from threbase import (
     Circuit,
     Gate,
     GateKind,
+    SKConfig,
     build_net,
     demo_1q_gate_set,
     emit_circuit,
     emit_net,
+    haar_unitary,
     kitaev_gate_set,
     parse_circuit,
     parse_net,
+    realify_circuit,
+    rebase_circuit,
+    sk_trace,
 )
+from threbase import io as tio
 from threbase.errors import ValidationError
 
 DATA = Path(__file__).parent / "data"
@@ -349,3 +355,135 @@ def test_loaded_net_matrices_equal_build_net_bitwise(factory, lengths):
         assert [e.seq for e in back.entries] == [e.seq for e in net.entries]
         for a, b in zip(net.entries, back.entries):
             assert a.matrix.tobytes() == b.matrix.tobytes(), (length, a.seq)
+
+
+# --- the canonical reading ---------------------------------------------------
+
+def assert_same_circuit(a: Circuit, b: Circuit):
+    assert a.n_qubits == b.n_qubits
+    assert a.gates == b.gates
+    for g, h in zip(a.gates, b.gates):
+        assert (g.matrix is None) == (h.matrix is None)
+        if g.matrix is not None:
+            assert g.matrix.tobytes() == h.matrix.tobytes()
+
+
+def canonical_texts(corpus, kitaev8, demo12) -> list[str]:
+    rng = np.random.default_rng(2020)
+    texts = [
+        text for text in (path.read_text() for path in sorted(DATA.rglob("*.json")))
+        if "gates" in json.loads(text)
+    ]
+    cfg = SKConfig(net=demo12, depth=2)
+    gs = demo12.gateset
+    for _ in range(3):
+        seq, _ = list(sk_trace(haar_unitary(2, rng), cfg))[-1]
+        texts.append(emit_circuit(Circuit(1, [gs.gate(label) for label in seq])))
+    for c in corpus[:10]:
+        texts.append(emit_circuit(realify_circuit(c)[0]))
+    for _ in range(3):
+        c = Circuit(3, [
+            Gate(GateKind.GENERIC, (2, 0), haar_unitary(4, rng)),
+            Gate(GateKind.X, (1,)),
+            Gate(GateKind.GENERIC, (1,), haar_unitary(2, rng)),
+            Gate(GateKind.CCX, (0, 2, 1)),
+        ])
+        texts.append(emit_circuit(rebase_circuit(c, kitaev8, 10.0)[0]))
+    # emit_circuit writes -0.0 as 0, so both readers build +0.0 from it.
+    z = -0.0 + -0.0j
+    m = np.array([[1, z], [z, -1]])
+    texts.append(emit_circuit(Circuit(2, [Gate(GateKind.GENERIC, (1,), m)] * 3)))
+    return texts
+
+
+def test_both_readers_give_the_same_circuit(corpus, kitaev8, demo12):
+    texts = canonical_texts(corpus, kitaev8, demo12)
+    # The eight circuit files under tests/data, then the generated texts.
+    assert len(texts) == 8 + 3 + 10 + 3 + 1
+    for text in texts:
+        fast = tio._parse_canonical(text)
+        assert fast is not None
+        assert_same_circuit(fast, tio._parse_general(text))
+        assert emit_circuit(parse_circuit(text)) == text
+
+
+def general_outcome(text: str):
+    try:
+        return tio._parse_general(text)
+    except ValidationError as e:
+        return str(e)
+
+
+BASE = (
+    '{"version":1,"qubits":3,"gates":[{"name":"H","qubits":[0]},'
+    '{"name":"CS","qubits":[0,1]},{"name":"GENERIC","qubits":[1],"matrix":'
+    + T_PAIRS + '},{"name":"H","qubits":[0]}]}\n'
+)
+
+
+MUTATIONS = {
+    "no-newline": ("]}\n", "]}"),
+    "space-at-end": ("]}\n", "]} \n"),
+    "space-in-header": ('"gates":[', '"gates": ['),
+    "space-in-gate": ('{"name":"CS","qubits":[0,1]}', '{"name": "CS","qubits":[0,1]}'),
+    "keys-reordered": ('{"name":"CS","qubits":[0,1]}', '{"qubits":[0,1],"name":"CS"}'),
+    "float-qubit": ('"qubits":[0,1]', '"qubits":[0,1.0]'),
+    "space-after-qubits": ('"qubits":[0,1]', '"qubits":[0,1] '),
+    "int-minus-zero": ("[[1,0],[0,0]", "[[1,0],[-0,0]"),
+    "float-minus-zero": ("[[1,0],[0,0]", "[[1,0],[0,-0.0]"),
+    "float-one": ("[[1,0],[0,0]", "[[1.0,0],[0,0]"),
+    "shortest-repr": ("0.70710678118654757", "0.7071067811865476"),
+    "header-leading-zero": ('"qubits":3', '"qubits":03'),
+    "header-float": ('"qubits":3', '"qubits":3.0'),
+    "version-leading-zero": ('"version":1', '"version":01'),
+    "repeated-key": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","name":"CS","qubits":[0,1]}'),
+    "unknown-field": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[0,1],"x":1}'),
+    "nan-entry": ("[[1,0],[0,0]", "[[1,0],[NaN,0]"),
+    "5001-digit-entry": ("[[1,0],[0,0]", "[[1,0],[" + "1" * 5001 + ",0]"),
+    "5000-digit-qubits": ('"qubits":3', '"qubits":' + "1" * 5000),
+    "qubit-out-of-range": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[0,3]}'),
+    "repeated-operand": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[1,1]}'),
+    "empty-gate": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[0,1]},{}'),
+    "nested-split": ('{"name":"CS","qubits":[0,1]}',
+                     '{"name":"CS","qubits":[0,1]},{"x":{"y":1},{"z":2}}'),
+    "trailing-comma": ('{"name":"CS","qubits":[0,1]}', '{"name":"CS","qubits":[0,1]},'),
+    "nested-qubits": ('"qubits":[0]},', '"qubits":[[0]]},'),
+    "first-gate-dropped": ('[{"name":"H","qubits":[0]},', "["),
+    "empty-gate-list": (BASE[BASE.index("[{") + 1 : -3], ""),
+    "unchanged": ("", ""),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_the_canonical_reading_falls_back_on_anything_else(mutation):
+    # The canonical reading takes exactly the texts that emit_circuit
+    # writes back unchanged; every other text gets the general reader's
+    # circuit or message.
+    old, new = MUTATIONS[mutation]
+    text = BASE.replace(old, new, 1) if old else BASE
+    assert (text != BASE) == (mutation != "unchanged")
+    expected = general_outcome(text)
+    canonical = isinstance(expected, Circuit) and emit_circuit(expected) == text
+    fast = tio._parse_canonical(text)
+    assert (fast is not None) == canonical
+    try:
+        got = parse_circuit(text)
+    except ValidationError as e:
+        assert str(e) == expected
+    else:
+        assert_same_circuit(got, expected)
+
+
+def test_the_canonical_reading_decodes_each_distinct_gate_once(monkeypatch, demo12):
+    gs = demo12.gateset
+    labels = [gs.labels[i % len(gs.labels)] for i in range(300)]
+    text = emit_circuit(Circuit(2, [gs.gate(label) for label in labels]))
+    distinct = len(set(gs.labels))
+    decoded, built = [], []
+    loads, parse_gate = tio.json.loads, tio._parse_gate
+    monkeypatch.setattr(tio.json, "loads", lambda s, **kw: decoded.append(s) or loads(s, **kw))
+    monkeypatch.setattr(tio, "_parse_gate", lambda *a: built.append(a) or parse_gate(*a))
+    c = parse_circuit(text)
+    assert len(c) == 300 and emit_circuit(c) == text
+    assert len(built) == len(decoded) == distinct
+    assert all(s.startswith('{"name":') for s in decoded)
