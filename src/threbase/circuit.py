@@ -25,24 +25,24 @@ embedding in the frame, built once per call; the embedding's exact zeros
 add nothing, and the tests check the result against the per-gate loop
 bit for bit.
 
-A Circuit validates its gates at C speed: one isinstance test per gate
-through map, and the largest operand through one max over the chained
-operand tuples.  Only when either fails does a Python walk find the first
-bad gate, so the error names it as a per-gate loop would.
+A Circuit's width is an integer, by the rule for gate operands, from 1 to
+MAX_WIDTH = 2**20: far above what a dense check takes, the ceiling keeps a
+count of thousands of digits out of every later message.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby, repeat
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .gates import Gate, gate_matrix
+from .gates import Gate, as_ints, gate_matrix
 
 MAX_QUBITS = 12
+MAX_WIDTH = 2**20
 # 2**16 amplitudes (1 MiB): one block up to 8 qubits.
 BLOCK_AMPLITUDES = 2**16
 
@@ -53,32 +53,27 @@ class Circuit:
     gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
+        (n,) = as_ints((self.n_qubits,)) or (0,)
+        if abs(n) > MAX_WIDTH:
+            # Not echoed: a count read from a file may have thousands of digits.
+            raise ValidationError(f"qubits must be a positive integer of at most {MAX_WIDTH}")
+        if n < 1:
+            raise ValidationError(f"qubits must be a positive integer, got {self.n_qubits!r}")
         gates = tuple(self.gates)
+        object.__setattr__(self, "n_qubits", n)
         object.__setattr__(self, "gates", gates)
-        if self.n_qubits < 1:
-            raise ValidationError(f"circuit needs at least one qubit, got {self.n_qubits}")
-        # Both tests run at C speed; the walk that names the first bad gate
-        # runs only when one fails.
-        if gates and not (
-            all(map(isinstance, gates, repeat(Gate)))
-            and max(chain.from_iterable(map(attrgetter("qubits"), gates))) < self.n_qubits
-        ):
-            _raise_first_bad(gates, self.n_qubits)
+        for i, g in enumerate(gates):
+            if not isinstance(g, Gate):
+                raise ValidationError(f"gates[{i}] is not a Gate")
+            for q in g.qubits:
+                if q >= n:
+                    raise ValidationError(
+                        f"gates[{i}] ({g.kind.value}) touches qubit {q} "
+                        f"but the circuit has {n} qubits"
+                    )
 
     def __len__(self) -> int:
         return len(self.gates)
-
-
-def _raise_first_bad(gates, n_qubits: int):
-    for i, g in enumerate(gates):
-        if not isinstance(g, Gate):
-            raise ValidationError(f"gates[{i}] is not a Gate")
-        bad = [q for q in g.qubits if q >= n_qubits]
-        if bad:
-            raise ValidationError(
-                f"gates[{i}] ({g.kind.value}) touches qubit {bad[0]} "
-                f"but the circuit has {n_qubits} qubits"
-            )
 
 
 def _check_cap(n_qubits: int, max_qubits: int):

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import io as tio
 from . import sk, verify
-from .circuit import MAX_QUBITS
+from .circuit import MAX_QUBITS, MAX_WIDTH
 from .errors import BudgetNotMet, CapExceeded, CompileError, ValidationError
 from .gates import BUILTIN_GATE_SETS
 from .linalg import haar_unitary
@@ -43,11 +43,15 @@ def _cap() -> int:
         return MAX_QUBITS
     # ASCII digits only: int() would also read "1_2", "+12", " 12" and
     # other scripts' digits.
-    if not re.fullmatch(r"-?[0-9]+", raw):
+    m = re.fullmatch(r"(-?)0*([0-9]+)", raw)
+    if m is None:
         raise ValidationError(f"TH_REBASE_MAX_QUBITS must be an integer, got {raw!r}")
-    cap = int(raw)
+    # int() refuses more than 4,300 digits; past MAX_WIDTH's, a cap is too long.
+    cap = int(m[1] + m[2]) if len(m[2]) <= len(str(MAX_WIDTH)) else MAX_WIDTH + 1
     if cap < 1:
         raise ValidationError(f"TH_REBASE_MAX_QUBITS must be >= 1, got {cap}")
+    if cap > MAX_WIDTH:
+        raise ValidationError(f"TH_REBASE_MAX_QUBITS must be from 1 to {MAX_WIDTH}")
     return cap
 
 
@@ -95,8 +99,6 @@ def _report_lines(pairs) -> str:
 # --- transpile ------------------------------------------------------------
 
 def cmd_transpile(args) -> int:
-    if not args.eps > 0:
-        raise ValidationError(f"eps must be positive, got {args.eps}")
     c = tio.parse_circuit(_read(args.input))
     th = args.to == "th"
     net = _kitaev_net(args) if needs_net(c) else None

@@ -12,6 +12,7 @@ Matrix identities relied on elsewhere:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -21,23 +22,6 @@ from . import linalg
 from .errors import ValidationError
 
 _SQ2 = 1.0 / np.sqrt(2.0)
-
-_MATRICES = {
-    "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-    "S": np.array([[1, 0], [0, 1j]], dtype=complex),
-    "SDG": np.array([[1, 0], [0, -1j]], dtype=complex),
-    "CS": np.diag([1, 1, 1, 1j]).astype(complex),
-    "CSDG": np.diag([1, 1, 1, -1j]).astype(complex),
-    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-    "CNOT": np.array(
-        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-    ),
-    "CCX": np.eye(8, dtype=complex)[:, [0, 1, 2, 3, 4, 5, 7, 6]],
-}
-for _m in _MATRICES.values():
-    _m.setflags(write=False)
 
 
 class GateKind(str, Enum):
@@ -54,26 +38,45 @@ class GateKind(str, Enum):
     GENERIC = "GENERIC"
 
 
-ARITY = {
-    GateKind.H: 1,
-    GateKind.X: 1,
-    GateKind.Z: 1,
-    GateKind.S: 1,
-    GateKind.SDG: 1,
-    GateKind.CS: 2,
-    GateKind.CSDG: 2,
-    GateKind.CZ: 2,
-    GateKind.CNOT: 2,
-    GateKind.CCX: 3,
+_MATRICES = {
+    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
+    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
+    GateKind.CS: np.diag([1, 1, 1, 1j]).astype(complex),
+    GateKind.CSDG: np.diag([1, 1, 1, -1j]).astype(complex),
+    GateKind.CZ: np.diag([1, 1, 1, -1]).astype(complex),
+    GateKind.CNOT: np.array(
+        [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
+    ),
+    GateKind.CCX: np.eye(8, dtype=complex)[:, [0, 1, 2, 3, 4, 5, 7, 6]],
 }
+for _m in _MATRICES.values():
+    _m.setflags(write=False)
+
+# Operand count of each named gate, read off its matrix.
+ARITY = {kind: len(m).bit_length() - 1 for kind, m in _MATRICES.items()}
+_KINDS = {kind.value: kind for kind in GateKind}  # finds a GateKind too, since it is a str
 
 GENERIC_MAX_QUBITS = 3
 GENERIC_ATOL = 1e-10
 
 
+def as_ints(values) -> tuple[int, ...] | None:
+    """values as ints, numpy integers too; None if one is a bool or no integer."""
+    try:
+        values = tuple(values)
+        if bool not in map(type, values):
+            return tuple(map(operator.index, values))
+    except TypeError:
+        pass
+    return None
+
+
 @dataclass(frozen=True)
 class Gate:
-    """One gate application: a kind plus the qubits it acts on.
+    """One gate application: a kind (or its name) plus the qubits it acts on.
 
     `matrix` is set only for GENERIC gates and is validated to be unitary.
     """
@@ -86,18 +89,26 @@ class Gate:
     _hash_key = None
 
     def __post_init__(self):
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
-        kind = GateKind(self.kind)
+        try:
+            kind = _KINDS[self.kind]
+        except (KeyError, TypeError):
+            raise ValidationError(f"unknown gate name {self.kind!r}") from None
+        qubits = as_ints(self.qubits)
+        if qubits is None:
+            raise ValidationError("qubits must be a list of integers")
         object.__setattr__(self, "kind", kind)
-        if any(q < 0 for q in self.qubits):
-            raise ValidationError(f"negative qubit index in {self.qubits}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise ValidationError(f"repeated operand in {self.qubits}")
+        object.__setattr__(self, "qubits", qubits)
+        if self.matrix is not None and kind is not GateKind.GENERIC:
+            raise ValidationError("only generic gates may carry a matrix")
+        if any(q < 0 for q in qubits):
+            raise ValidationError(f"negative qubit index in {qubits}")
+        if len(set(qubits)) != len(qubits):
+            raise ValidationError(f"repeated operand in {qubits}")
         if kind is GateKind.GENERIC:
             if self.matrix is None:
                 raise ValidationError("GENERIC gate requires a matrix")
             m = linalg.as_matrix(self.matrix)
-            k = len(self.qubits)
+            k = len(qubits)
             if not 1 <= k <= GENERIC_MAX_QUBITS:
                 raise ValidationError(
                     f"GENERIC gate supports 1..{GENERIC_MAX_QUBITS} qubits, got {k}"
@@ -112,13 +123,8 @@ class Gate:
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
             object.__setattr__(self, "_hash_key", (m + 0.0).tobytes())
-        else:
-            if self.matrix is not None:
-                raise ValidationError(f"{kind.value} gate does not take a matrix")
-            if len(self.qubits) != ARITY[kind]:
-                raise ValidationError(
-                    f"{kind.value} acts on {ARITY[kind]} qubits, got {self.qubits}"
-                )
+        elif len(qubits) != ARITY[kind]:
+            raise ValidationError(f"{kind.value} acts on {ARITY[kind]} qubits, got {qubits}")
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -136,13 +142,11 @@ class Gate:
 def gate_matrix(gate: Gate | GateKind | str) -> np.ndarray:
     """Matrix of a gate on its own operands (dimension 2**arity)."""
     if isinstance(gate, Gate):
-        if gate.kind is GateKind.GENERIC:
-            return gate.matrix
-        return _MATRICES[gate.kind.value]
+        return _MATRICES[gate.kind] if gate.matrix is None else gate.matrix
     kind = GateKind(gate)
     if kind is GateKind.GENERIC:
         raise ValidationError("GENERIC has no fixed matrix")
-    return _MATRICES[kind.value]
+    return _MATRICES[kind]
 
 
 _MAX_GENERATOR_ORDER = 16
@@ -174,13 +178,8 @@ class GateSet:
             raise ValidationError(f"duplicate generator labels in {labels}")
         object.__setattr__(self, "labels", tuple(labels))
         for lab, g in self.generators:
-            if any(q >= self.n_qubits for q in g.qubits):
-                raise ValidationError(
-                    f"generator {lab} uses qubits outside a {self.n_qubits}-qubit domain"
-                )
+            # embed refuses a gate outside the domain; Gate checked unitarity.
             m = embed(g, self.n_qubits)
-            if not linalg.is_unitary(m):
-                raise ValidationError(f"generator {lab} is not unitary")
             m.setflags(write=False)
             self._gates[lab] = g
             self._matrices[lab] = m

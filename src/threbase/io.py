@@ -14,6 +14,12 @@ made.  emit_net writes the sequences straight from net.seqs.  A version-1
 cache, which stored matrices, is refused.  In both formats a key repeated
 within one object is refused rather than letting the last one win.
 
+The readers check JSON shape: fields, JSON types, finite matrix entries.
+A JSON type is tested by exact Python type, since json.loads makes no
+subclasses and `true`, a bool, is not a number.  Gate and Circuit check
+meaning (gate names, integer operands in range, a matrix only on
+GENERIC, the width ceiling) for a file and a caller alike.
+
 Documents are long lists of a few distinct gates, so the work scales with
 the distinct gates rather than the total:
   - parse_circuit first tries the canonical reading, for documents that
@@ -46,7 +52,7 @@ import numpy as np
 
 from .circuit import Circuit
 from .errors import ValidationError
-from .gates import BUILTIN_GATE_SETS, Gate, GateKind, GateSet
+from .gates import BUILTIN_GATE_SETS, Gate, GateSet
 from .sk import Net, net_from_sequences
 
 FORMAT_VERSION = 1
@@ -63,17 +69,17 @@ def _fmt_matrix(m: np.ndarray) -> str:
     return f"[{pairs}]"
 
 
-def _parse_matrix(raw, where: str) -> np.ndarray:
+def _parse_matrix(raw) -> np.ndarray:
     if not isinstance(raw, list) or not raw:
-        raise ValidationError(f"{where}: matrix must be a non-empty list")
+        raise ValidationError("matrix must be a non-empty list")
     flat = []
     for j, pair in enumerate(raw):
         if (
             not isinstance(pair, list)
             or len(pair) != 2
-            or not all(_is_int(v) or isinstance(v, float) for v in pair)
+            or not all(type(v) in (int, float) for v in pair)
         ):
-            raise ValidationError(f"{where}: matrix[{j}] must be a [re, im] pair")
+            raise ValidationError(f"matrix[{j}] must be a [re, im] pair")
         # json.loads reads NaN, Infinity and 1e999 (as inf); an integer
         # beyond the float range overflows here.  Refusing them before any
         # matrix arithmetic keeps numpy from warning on them.
@@ -82,17 +88,12 @@ def _parse_matrix(raw, where: str) -> np.ndarray:
         except OverflowError:
             z = None
         if z is None or not cmath.isfinite(z):
-            raise ValidationError(f"{where}: matrix[{j}] must be finite")
+            raise ValidationError(f"matrix[{j}] must be finite")
         flat.append(z)
     dim = int(round(len(flat) ** 0.5))
     if dim * dim != len(flat):
-        raise ValidationError(f"{where}: matrix has {len(flat)} entries, not a square")
+        raise ValidationError(f"matrix has {len(flat)} entries, not a square")
     return np.array(flat, dtype=complex).reshape(dim, dim)
-
-
-def _is_int(x) -> bool:
-    """A JSON integer: bool is an int subclass, but `true` is not a count."""
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _object(pairs: list) -> dict:
@@ -108,20 +109,18 @@ def _object(pairs: list) -> dict:
 def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
     try:
         doc = json.loads(text, object_pairs_hook=_object)
-    except ValidationError as e:
-        raise ValidationError(f"malformed {what}: {e}") from None
     except json.JSONDecodeError as e:
         raise ValidationError(
             f"malformed {what} at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
-    except ValueError as e:
-        # An integer beyond Python's digit limit for int(), not a syntax error.
+    except (ValidationError, ValueError) as e:
+        # A repeated key, or an integer beyond Python's digit limit for int().
         raise ValidationError(f"malformed {what}: {e}") from None
     except RecursionError:
         raise ValidationError(f"malformed {what}: nested too deeply") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{what} must be a JSON object")
-    if not _is_int(doc.get("version")) or doc["version"] != version:
+    if type(doc.get("version")) is not int or doc["version"] != version:
         raise ValidationError(
             f"unsupported {what} version {doc.get('version')!r}, expected {version}{remedy}"
         )
@@ -160,21 +159,11 @@ def _parse_gate(raw, where: str) -> Gate:
     unknown = set(raw) - {"name", "qubits", "matrix"}
     if unknown:
         raise ValidationError(f"{where}: unknown field {sorted(unknown)[0]!r}")
-    name = raw.get("name")
-    try:
-        kind = GateKind(name)
-    except ValueError:
-        raise ValidationError(f"{where}: unknown gate name {name!r}") from None
     qs = raw.get("qubits")
-    if not isinstance(qs, list) or not all(_is_int(q) for q in qs):
-        raise ValidationError(f"{where}: qubits must be a list of integers")
-    matrix = None
-    if "matrix" in raw:
-        if kind is not GateKind.GENERIC:
-            raise ValidationError(f"{where}: only generic gates may carry a matrix")
-        matrix = _parse_matrix(raw["matrix"], where)
     try:
-        return Gate(kind, tuple(qs), matrix)
+        matrix = _parse_matrix(raw["matrix"]) if "matrix" in raw else None
+        # Gate refuses None as it refuses every operand list but integers.
+        return Gate(raw.get("name"), qs if isinstance(qs, list) else None, matrix)
     except ValidationError as e:
         raise ValidationError(f"{where}: {e}") from None
 
@@ -214,7 +203,6 @@ def _parse_canonical(text: str) -> Circuit | None:
     interned: dict[str, Gate] = {}
     gates = []
     try:
-        n_qubits = int(head[1])
         for piece in body[1:-1].split("},{") if body else ():
             gate = interned.get(piece)
             if gate is None:
@@ -224,16 +212,13 @@ def _parse_canonical(text: str) -> Circuit | None:
                     return None
                 interned[piece] = gate
             gates.append(gate)
-        return Circuit(n_qubits, gates)
+        return Circuit(int(head[1]), gates)
     except (ValueError, ValidationError, RecursionError):
         return None
 
 
 def _parse_general(text: str) -> Circuit:
     doc = _load_json(text, "circuit file", FORMAT_VERSION)
-    qubits = doc.get("qubits")
-    if not _is_int(qubits) or qubits < 1:
-        raise ValidationError(f"qubits must be a positive integer, got {qubits!r}")
     raw_gates = doc.get("gates")
     if not isinstance(raw_gates, list):
         raise ValidationError("gates must be a list")
@@ -252,10 +237,7 @@ def _parse_general(text: str) -> Circuit:
         if gate is None:
             gate = interned[key] = _parse_gate(raw, f"gates[{i}]")
         gates.append(gate)
-    try:
-        return Circuit(qubits, gates)
-    except ValidationError as e:
-        raise ValidationError(str(e)) from None
+    return Circuit(doc.get("qubits"), gates)
 
 
 # --- net caches -----------------------------------------------------------
@@ -296,11 +278,11 @@ def parse_net(text: str, gateset: GateSet | None = None) -> Net:
         )
     max_len = doc.get("max_len")
     tol = doc.get("dedupe_tol")
-    if not _is_int(max_len) or max_len < 0:
+    if type(max_len) is not int or max_len < 0:
         raise ValidationError(f"bad max_len {max_len!r}")
     # json.loads reads bare NaN and Infinity, which emit_net cannot write
     # back as JSON; no comparison holds for NaN.
-    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not 0 < tol < math.inf:
+    if type(tol) not in (int, float) or not 0 < tol < math.inf:
         raise ValidationError(f"bad dedupe_tol {tol!r}")
     raw_entries = doc.get("entries")
     if not isinstance(raw_entries, list) or not raw_entries:

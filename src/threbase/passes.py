@@ -53,11 +53,9 @@ def realify_gate(g: Gate, ancilla: int) -> list[Gate]:
     if g.kind is GateKind.H or g.kind is GateKind.CCX:
         return [g]
     if g.kind is GateKind.CS:
-        a, b = g.qubits
-        if ancilla in (a, b):
-            raise ValidationError(f"ancilla {ancilla} collides with operands {g.qubits}")
+        # Gate refuses an ancilla that is one of the operands.
         h = Gate(GateKind.H, (ancilla,))
-        ccx = Gate(GateKind.CCX, (a, b, ancilla))
+        ccx = Gate(GateKind.CCX, g.qubits + (ancilla,))
         return [h, ccx, h, ccx]
     raise ValidationError(
         f"realify_gate accepts only H, CS and CCX, got {g.kind.value}; "
@@ -190,6 +188,8 @@ def rebase_circuit(
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
+            if net is None:
+                raise ValidationError(f"approximating {g.kind.value} on {g.qubits} needs a net")
             k, achieved = sk_mod._nearest(net, target, th)
             found = searched[key] = (net.seqs[k], achieved)
         seq, achieved = found

@@ -69,9 +69,6 @@ class StateVector:
         if abs(norm - 1.0) > NORM_ATOL:
             raise ValidationError(f"state norm {norm} is not 1 within {NORM_ATOL}")
 
-    def probability(self, index: int) -> float:
-        return float(np.abs(self.amplitudes[index]) ** 2)
-
 
 @dataclass(frozen=True)
 class EquivalenceReport:

@@ -281,3 +281,19 @@ def test_circuit_unitary_peak_memory_is_bounded():
         # The result plus two column blocks; whole-matrix temporaries would
         # take it to three times the unitary.
         assert peak < 1.5 * size
+
+
+def test_circuit_owns_its_width():
+    from threbase.circuit import MAX_WIDTH
+
+    for n in (2.5, True, 0, -3, "3", None):
+        with pytest.raises(ValidationError, match=r"^qubits must be a positive integer, got "):
+            Circuit(n, [])
+    # Past the ceiling the count is not echoed, however many digits it has.
+    for n in (MAX_WIDTH + 1, -(MAX_WIDTH + 1), 10**4000):
+        with pytest.raises(ValidationError) as e:
+            Circuit(n, [])
+        assert str(e.value) == f"qubits must be a positive integer of at most {MAX_WIDTH}"
+    assert Circuit(MAX_WIDTH, [H]).n_qubits == MAX_WIDTH
+    c = Circuit(np.int64(3), [Gate(GateKind.CS, (np.int64(2), 0))])
+    assert type(c.n_qubits) is int and c.n_qubits == 3

@@ -620,6 +620,56 @@ def test_qubit_cap_env_override(capsys, monkeypatch, tmp_path):
         assert "must be >= 1" in capsys.readouterr().err
 
 
+def test_qubit_cap_beyond_the_digit_limit_exits_2(capsys, monkeypatch, tmp_path):
+    f = write_circuit(tmp_path / "c2.json", Circuit(2, [Gate(GateKind.H, (0,))]))
+    for raw in ("1" * 5000, "-" + "1" * 5000, "2000000"):
+        monkeypatch.setenv("TH_REBASE_MAX_QUBITS", raw)
+        assert main(["simulate", f, "--input", "00"]) == 2
+        assert capsys.readouterr().err == "error: TH_REBASE_MAX_QUBITS must be from 1 to 1048576\n"
+    # Leading zeros do not count against the digit limit.
+    monkeypatch.setenv("TH_REBASE_MAX_QUBITS", "0" * 5000 + "12")
+    assert main(["simulate", f, "--input", "00"]) == 0
+
+
+@pytest.mark.parametrize("style", ["json-dump", "emit-circuit"])
+def test_a_qubit_count_over_the_ceiling_exits_2_on_one_short_line(capsys, tmp_path, style):
+    count = "1" * 4000
+    if style == "json-dump":
+        doc = {"version": 1, "qubits": int(count), "gates": [{"name": "H", "qubits": [0]}]}
+        text = json.dumps(doc, indent=1)
+    else:
+        text = emit_circuit(Circuit(2, [Gate(GateKind.H, (0,))]))
+        text = text.replace('"qubits":2', '"qubits":' + count)
+    wide = tmp_path / "wide.json"
+    wide.write_text(text)
+    good = write_circuit(tmp_path / "good.json", Circuit(2, [Gate(GateKind.H, (0,))]))
+    for argv in (
+        ["transpile", str(wide), "--to", "th"],
+        ["transpile", str(wide), "--to", "kitaev"],
+        ["verify", str(wide), good],
+        ["verify", good, str(wide)],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: qubits must be a positive integer of at most 1048576\n"
+        assert len(captured.err.encode()) < 200
+
+
+def test_transpile_th_at_the_width_ceiling_exits_2(capsys, tmp_path):
+    # The flag qubit takes a circuit at the ceiling over it; kitaev adds none.
+    from threbase.circuit import MAX_WIDTH
+
+    f = tmp_path / "ceiling.json"
+    f.write_text(f'{{"version":1,"qubits":{MAX_WIDTH},"gates":[{{"name":"H","qubits":[0]}}]}}\n')
+    assert main(["transpile", str(f), "--to", "th"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: qubits must be a positive integer of at most {MAX_WIDTH}\n"
+    assert main(["transpile", str(f), "--to", "kitaev"]) == 0
+    assert capsys.readouterr().out == f.read_text()
+
+
 @pytest.fixture()
 def wide_files(tmp_path):
     """A 12-qubit original, its 13-qubit th output and a 13-qubit circuit."""

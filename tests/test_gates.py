@@ -199,3 +199,20 @@ def test_infinite_order_generator_needs_inverse_closure():
     gen = ("R", Gate(GateKind.GENERIC, (0,), t))
     with pytest.raises(ValidationError):
         GateSet(name="irr", n_qubits=1, generators=(gen,))
+
+
+def test_gate_owns_its_rules():
+    # A library caller is held to what a file's gate is: integer operands,
+    # a known name, and a matrix only on GENERIC.
+    for qubits in ((1.5,), (True,), (np.bool_(True),), "0", None):
+        with pytest.raises(ValidationError, match="^qubits must be a list of integers$"):
+            Gate(GateKind.H, qubits)
+    for name in ("FOO", ["H"], None):
+        with pytest.raises(ValidationError, match="^unknown gate name "):
+            Gate(name, (0,))
+    with pytest.raises(ValidationError, match="^only generic gates may carry a matrix$"):
+        Gate(GateKind.H, (0,), gate_matrix(GateKind.H))
+    # numpy integers and a kind's name still pass, as plain ints and a GateKind.
+    g = Gate("CS", (np.int64(2), np.int32(0)))
+    assert g == Gate(GateKind.CS, (2, 0)) and g.kind is GateKind.CS
+    assert [type(q) for q in g.qubits] == [int, int]

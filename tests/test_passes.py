@@ -277,6 +277,13 @@ def test_rebase_rejects_single_qubit_circuit(kitaev8):
     assert out.gates == (Gate(GateKind.H, (0,)),)
 
 
+def test_rebase_without_a_net_names_the_gate_that_needs_one():
+    u = haar_unitary(2, np.random.default_rng(2))
+    c = Circuit(2, [Gate(GateKind.X, (1,)), Gate(GateKind.GENERIC, (0,), u)])
+    with pytest.raises(ValidationError, match=r"^approximating GENERIC on \(0,\) needs a net$"):
+        rebase_circuit(c, None, eps=0.5)
+
+
 def test_rebase_single_qubit_gate_on_wide_circuit(kitaev8):
     # A 1-qubit approximation target is padded with a deterministic partner.
     u = haar_unitary(2, np.random.default_rng(2))

@@ -26,7 +26,7 @@ def test_run_toffoli_basis_table():
     for i in range(8):
         out = run(c, i)
         want = {6: 7, 7: 6}.get(i, i)
-        assert out.probability(want) == pytest.approx(1.0, abs=1e-12)
+        assert abs(out.amplitudes[want]) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_run_hadamard_superposition():
