@@ -113,9 +113,13 @@ def _load_json(text: str, what: str, version: int, remedy: str = "") -> dict:
         raise ValidationError(
             f"malformed {what} at line {e.lineno} column {e.colno}: {e.msg}"
         ) from None
-    except (ValidationError, ValueError) as e:
-        # A repeated key, or an integer beyond Python's digit limit for int().
+    except ValidationError as e:  # a repeated key
         raise ValidationError(f"malformed {what}: {e}") from None
+    except ValueError:
+        # An integer beyond Python's digit limit for int(), whose own
+        # message advises a Python call.  Where there is no limit, the
+        # integer reaches validation.
+        raise ValidationError(f"malformed {what}: an integer has too many digits") from None
     except RecursionError:
         raise ValidationError(f"malformed {what}: nested too deeply") from None
     if not isinstance(doc, dict):

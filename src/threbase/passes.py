@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import sk as sk_mod
-from .circuit import Circuit
+from .circuit import MAX_WIDTH, Circuit
 from .errors import BudgetNotMet, ValidationError
 from .gates import Gate, GateKind
 from .linalg import as_matrix, is_unitary
@@ -70,6 +70,11 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
     since every gate's expansion is exact.
     """
     ancilla = c.n_qubits
+    if ancilla >= MAX_WIDTH:
+        raise ValidationError(
+            f"the flag qubit would take the circuit to {ancilla + 1} qubits, "
+            f"over the ceiling of {MAX_WIDTH}"
+        )
     out: list[Gate] = []
     for g in c.gates:
         out.extend(realify_gate(g, ancilla))

@@ -178,18 +178,39 @@ def runs_circuit(rng, n, operands, runs):
     return Circuit(n, gates)
 
 
+# How far a long run's product tree may be from the per-gate loop, entry by
+# entry; runs shorter than LONG_RUN give the loop's bytes.
+TREE_ATOL = 1e-13
+
+
+def longest_run(c):
+    from threbase.circuit import _support_runs
+
+    return max((sum(len(group) for _, group in groups) for _, _, groups in _support_runs(c.gates)),
+               default=0)
+
+
+def assert_tree_close(got, want):
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= TREE_ATOL
+
+
 def test_runs_match_per_gate_product_bitwise(monkeypatch):
     from threbase import circuit, demo_1q_gate_set
 
     rng = np.random.default_rng(5)
     ht = demo_1q_gate_set()
     word = Circuit(1, [ht.gate(lab) for lab in rng.choice(ht.labels, 1200)])
+    # A 1,200-gate word is one long run, multiplied as a product tree.
+    assert longest_run(word) >= circuit.LONG_RUN
+    assert_tree_close(circuit_unitary(word), unblocked_product(word))
     # (0, 1) and (1, 0) share a frozenset but not a row table; so do the
     # two 3-qubit orders.  Adjacent runs may share a kind.
     mixed = runs_circuit(rng, 3, [(0, 1), (1, 0), (2,), (0, 1, 2), (2, 0, 1)], 40)
-    for c in (word, mixed):
-        assert circuit_unitary(c).tobytes() == unblocked_product(c).tobytes()
+    assert longest_run(mixed) < circuit.LONG_RUN
+    assert circuit_unitary(mixed).tobytes() == unblocked_product(mixed).tobytes()
     wide = runs_circuit(rng, 9, [(0,), (8,), (3, 5), (5, 3), (7, 1, 4), (2, 6)], 16)
+    assert longest_run(wide) < circuit.LONG_RUN
     want = unblocked_product(wide).tobytes()
     # Four columns per block: every run is applied to 128 blocks.
     monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**9)
@@ -241,16 +262,95 @@ def test_one_qubit_gates_in_two_qubit_runs_match_per_gate_product_bitwise(monkey
         c = pair_runs_circuit(rng, n, 12)
         runs = _support_runs(c.gates)
         assert any(len(groups) > 1 for _, _, groups in runs)
-        want = unblocked_product(c).tobytes()
-        assert circuit_unitary(c).tobytes() == want
+        want = unblocked_product(c)
+        # The 2- and 3-qubit circuits hold a run of 24 and 18 gates, which
+        # is multiplied as a product tree; the others are bitwise the loop.
+        long = longest_run(c) >= circuit.LONG_RUN
+        assert long == (n <= 3)
+        if long:
+            assert_tree_close(circuit_unitary(c), want)
+        else:
+            assert circuit_unitary(c).tobytes() == want.tobytes()
         if n == 2:
             continue
         # Four columns per block.  Narrower blocks take other matmul
         # kernels, whose rounding differs from the whole-matrix product
         # even for runs on one operand tuple.
         monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**n)
-        assert circuit_unitary(c).tobytes() == want
+        if long:
+            assert_tree_close(circuit_unitary(c), want)
+        else:
+            assert circuit_unitary(c).tobytes() == want.tobytes()
         monkeypatch.undo()
+
+
+def frame_run(rng, frame, length):
+    """`length` gates that _support_runs keeps in one run on `frame`.
+
+    On one qubit: H, S and two GENERIC gates repeated as shared objects,
+    as an interned Solovay-Kitaev word is, plus a fresh GENERIC gate now
+    and then.  On an ordered pair: one-qubit gates on either qubit and
+    two-qubit gates in that order.
+    """
+    from threbase import haar_unitary
+
+    shared = [Gate(GateKind.GENERIC, (q,), haar_unitary(2, rng)) for q in frame]
+    if len(frame) == 2:
+        shared.append(Gate(GateKind.GENERIC, frame, haar_unitary(4, rng)))
+        shared += [Gate(GateKind.CS, frame), Gate(GateKind.CNOT, frame)]
+    shared += [Gate(kind, (q,)) for kind in (GateKind.H, GateKind.S) for q in frame]
+    gates = []
+    for _ in range(length):
+        if rng.random() < 0.05:
+            qs = frame if len(frame) == 1 or rng.random() < 0.5 else frame[:1]
+            gates.append(Gate(GateKind.GENERIC, qs, haar_unitary(2 ** len(qs), rng)))
+        else:
+            gates.append(shared[int(rng.integers(len(shared)))])
+    return gates
+
+
+@pytest.mark.parametrize("frame", [(1,), (2, 0)], ids=["one", "pair"])
+def test_long_runs_are_a_product_tree_within_tolerance(frame, monkeypatch):
+    from threbase import circuit
+    from threbase.circuit import LONG_RUN, _support_runs
+
+    calls = []
+    tree = circuit._run_product
+    monkeypatch.setattr(circuit, "_run_product", lambda mats: calls.append(len(mats)) or tree(mats))
+    rng = np.random.default_rng(11)
+    # CCX starts and ends a run of its own, so the middle run has `length` gates.
+    ccx = Gate(GateKind.CCX, (0, 1, 2))
+    for length in (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, 2 * LONG_RUN + 1, 64, 5000):
+        c = Circuit(3, [ccx] + frame_run(rng, frame, length) + [ccx])
+        assert [sum(len(g) for _, g in groups) for _, _, groups in _support_runs(c.gates)] == [
+            1, length, 1]
+        calls.clear()
+        got, want = circuit_unitary(c), unblocked_product(c)
+        if length < LONG_RUN:
+            assert calls == []
+            assert got.tobytes() == want.tobytes()
+        else:
+            assert calls == [length]
+            assert_tree_close(got, want)
+        assert circuit_unitary(c).tobytes() == got.tobytes()
+
+
+def test_long_runs_in_column_blocks_match_the_default_blocking(monkeypatch):
+    from threbase import circuit
+
+    rng = np.random.default_rng(12)
+    ccx = Gate(GateKind.CCX, (4, 2, 6))
+    gates = [*runs_circuit(rng, 9, [(0,), (3, 5), (7, 1, 4)], 6).gates, ccx]
+    gates += frame_run(rng, (4,), 300) + [ccx] + frame_run(rng, (8, 2), 40) + [ccx]
+    gates += runs_circuit(rng, 9, [(5,), (0, 8)], 4).gates
+    c = Circuit(9, gates)
+    assert longest_run(c) == 300
+    default = circuit_unitary(c)
+    assert_tree_close(default, unblocked_product(c))
+    # Four columns per block: each run is applied to 128 blocks, the long
+    # runs' products formed once.
+    monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**9)
+    assert_tree_close(circuit_unitary(c), default)
 
 
 def test_circuit_unitary_peak_memory_is_bounded():
@@ -269,8 +369,11 @@ def test_circuit_unitary_peak_memory_is_bounded():
     for _ in range(4):
         qs = tuple(int(q) for q in rng.choice(n, 2, replace=False))
         runs += [Gate(GateKind.GENERIC, qs, haar_unitary(4, rng)) for _ in range(3)]
+    # And one run of 2,000 gates, whose product tree is formed before the
+    # blocks.
+    long = frame_run(rng, (3, 7), 2000)
     size = 16 * 4**n
-    for c in (Circuit(n, gates), Circuit(n, runs)):
+    for c in (Circuit(n, gates), Circuit(n, runs), Circuit(n, long)):
         tracemalloc.start()
         try:
             u = circuit_unitary(c)

@@ -330,6 +330,24 @@ def int_digit_limit() -> int:
     return get() if get else 0
 
 
+def test_integer_past_the_digit_limit_is_named_without_python_advice(capsys, tmp_path):
+    # With int()'s digit limit the reader names the fault; a Python with no
+    # limit reads the count, and the width ceiling refuses it.  Either way
+    # it is one line with no advice to call sys.set_int_max_str_digits().
+    from threbase.circuit import MAX_WIDTH
+
+    f = tmp_path / "long.json"
+    f.write_text('{"version":1,"qubits":' + "1" * 5000 + ',"gates":[{"name":"H","qubits":[0]}]}\n')
+    for to in ("kitaev", "th"):
+        assert main(["transpile", str(f), "--to", to]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if 0 < int_digit_limit() < 5000:
+            assert captured.err == "error: malformed circuit file: an integer has too many digits\n"
+        else:
+            assert captured.err == f"error: qubits must be a positive integer of at most {MAX_WIDTH}\n"
+
+
 @pytest.mark.parametrize("fault", ["not-utf8", "long-int"])
 def test_unreadable_input_exits_2(capsys, tmp_path, fault):
     # Exit 1 is kept for a verdict or BudgetNotMet; a file that cannot be
@@ -665,7 +683,10 @@ def test_transpile_th_at_the_width_ceiling_exits_2(capsys, tmp_path):
     assert main(["transpile", str(f), "--to", "th"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: qubits must be a positive integer of at most {MAX_WIDTH}\n"
+    assert captured.err == (
+        f"error: the flag qubit would take the circuit to {MAX_WIDTH + 1} qubits, "
+        f"over the ceiling of {MAX_WIDTH}\n"
+    )
     assert main(["transpile", str(f), "--to", "kitaev"]) == 0
     assert capsys.readouterr().out == f.read_text()
 

@@ -518,3 +518,66 @@ def test_simulate_plans_each_distinct_gate_once(monkeypatch):
         verify._simulate(c, 2 * np.arange(16))
         assert len(calls["gate_matrix"]) == k * distinct
         assert len(calls["_slice_moves"]) == k * distinct
+
+
+def per_gate_unitary(c, max_qubits=12):
+    """The circuit unitary with one matmul per gate, as circuit_unitary
+    formed it before long runs became a product tree: each gate's rows of
+    the running matrix gathered, multiplied and scattered back."""
+    from threbase.circuit import _check_cap, _operand_rows
+
+    _check_cap(c.n_qubits, max_qubits)
+    u = np.eye(2**c.n_qubits, dtype=complex)
+    for g in c.gates:
+        rows = _operand_rows(g.qubits, c.n_qubits)
+        gathered = u[rows].reshape(len(rows), -1)
+        u[rows] = (gate_matrix(g) @ gathered).reshape(rows.shape + (-1,))
+    return u
+
+
+def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
+    from pathlib import Path
+
+    from threbase import io, verify
+    from threbase.circuit import LONG_RUN, _support_runs
+    from threbase.sk import SKConfig, sk_trace
+
+    golden = Path(__file__).parent / "data" / "transpile"
+
+    def read(name):
+        return io.parse_circuit((golden / f"{name}.json").read_text())
+
+    def bound(name):
+        report = (golden / f"{name}.report").read_text()
+        return float(report.split("error_bound: ")[1])
+
+    cases = [(check_exact, read("mixed.in"), read("mixed.kitaev.out"), bound("mixed.kitaev"))]
+    for name in ("mixed", "mixed_ccx", "h_ccx"):
+        cases.append((check_realified, read(f"{name}.in"), read(f"{name}.th.out"),
+                      bound(f"{name}.th")))
+    # Solovay-Kitaev words as the sk_1q benchmark makes them: Haar targets
+    # refined to depth 3 over the ht net of length 12, read back from text.
+    rng = np.random.default_rng(23)
+    gs = demo12.gateset
+    for _ in range(4):
+        u = haar_unitary(2, rng)
+        seq = sk_trace(u, SKConfig(net=demo12, depth=3))[-1][0]
+        word = io.parse_circuit(io.emit_circuit(Circuit(1, [gs.gate(lab) for lab in seq])))
+        cases.append((check_exact, Circuit(1, [Gate(GateKind.GENERIC, (0,), u)]), word, 1e-2))
+    long = 0
+    for check, a, b, tol in cases:
+        long += any(sum(len(g) for _, g in groups) >= LONG_RUN
+                    for c in (a, b) for _, _, groups in _support_runs(c.gates))
+        got = check(a, b, tol)
+        with monkeypatch.context() as m:
+            m.setattr(verify, "circuit_unitary", per_gate_unitary)
+            want = check(a, b, tol)
+            dev = want.max_deviation
+            # Just either side of the per-gate deviation, too.
+            edges = [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)]
+        assert got.passed == want.passed
+        assert got.worst_input == want.worst_input
+        assert abs(got.max_deviation - dev) <= 1e-12
+        assert [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)] == edges
+    # The kitaev golden output and every word hold a long run.
+    assert long == 5
