@@ -4,7 +4,7 @@ Subcommands: transpile, verify, net, simulate, bench.  All output is
 deterministic given the flags (plus --seed where randomness is involved),
 so repeated invocations are byte-identical.  Exit codes: 0 success or
 check passed, 1 check failed or accuracy budget not met, 2 usage or
-validation error, 3 entry/qubit cap exceeded.
+validation error, 3 entry/qubit cap exceeded or out of memory.
 
 transpile is one pipeline: --to kitaev rewrites over {H, CS}, each named
 gate (CCX included) by its exact word; --to th does the same rewrite,
@@ -335,6 +335,11 @@ def main(argv=None) -> int:
         return 2
     except CapExceeded as e:
         sys.stderr.write(f"error: {e}\n")
+        return 3
+    except MemoryError as e:
+        # numpy raises this when a raised TH_REBASE_MAX_QUBITS asks for a
+        # matrix the host cannot hold.
+        sys.stderr.write(f"error: out of memory: {e}\n")
         return 3
     except CompileError as e:
         sys.stderr.write(f"error: {e}\n")

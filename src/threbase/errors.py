@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto exit codes: ValidationError -> 2 (usage),
-CapExceeded -> 3, BudgetNotMet -> 1.
+CapExceeded -> 3, as is Python's MemoryError, and BudgetNotMet and any
+other CompileError -> 1.
 """
 
 from __future__ import annotations

@@ -20,11 +20,13 @@ exact without controlling the Hadamards.  H and CCX are real, so each
 realifies to itself tensored with the identity on the flag qubit.
 
 Rebasing onto {H, CS} is gate by gate as well.  Every named gate, the
-Toffoli included, has an exact word, read from one table built at import;
-a one-qubit gate's word also uses a fixed partner qubit, on which it acts
-as the identity.  H and CS are their own words and pass through, as does
-CCX on the th route.  Only GENERIC gates are approximated, each by a
-two-qubit net entry.  Both passes return (circuit, error_bound).
+Toffoli included, has an exact word, read from one table built at import.
+H and CS are their own words and pass through, as does CCX on the th
+route.  Only GENERIC gates, which have no word, are approximated, each by
+a two-qubit net entry.  An exact word and a net entry alike are gates on
+slot qubits, placed by one rule: slot i goes to the gate's operand i, and
+a one-qubit gate's slot 1 to a fixed partner qubit, on which the word acts
+as the identity.  Both passes return (circuit, error_bound).
 """
 
 from __future__ import annotations
@@ -82,15 +84,16 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
 
 
 # Exact words over {H, CS}, in application order, each equal to its gate
-# with no phase.  Slot i of a word is operand i of the gate it rewrites, so
-# CNOT(a, b) becomes H(b) CS(a, b) CS(a, b) H(b).  A one-qubit gate on q
-# takes the partner _partner(q) as slot 1.  CCX(a, b, t) is Barenco et
-# al.'s controlled-V construction with V = H S H: H(t) CS(b, t) CNOT(a, b)
-# CS(b, t)^3 CNOT(a, b) CS(a, t) H(t).
-_H0, _H1, _CS01 = (GateKind.H, (0,)), (GateKind.H, (1,)), (GateKind.CS, (0, 1))
+# with no phase.  A word is a tuple of gates on slot qubits, the form a net
+# entry's letters take too, and _place sends slot i to operand i of the gate
+# it rewrites, so CNOT(a, b) becomes H(b) CS(a, b) CS(a, b) H(b).  A
+# one-qubit gate takes a partner as slot 1 (see _operands).  CCX(a, b, t) is
+# Barenco et al.'s controlled-V construction with V = H S H: H(t) CS(b, t)
+# CNOT(a, b) CS(b, t)^3 CNOT(a, b) CS(a, t) H(t).
+_H0, _H1, _CS01 = Gate(GateKind.H, (0,)), Gate(GateKind.H, (1,)), Gate(GateKind.CS, (0, 1))
 _CNOT01 = (_H1, _CS01, _CS01, _H1)
-_H2, _CS12 = (GateKind.H, (2,)), (GateKind.CS, (1, 2))
-_EXACT_WORDS: dict[GateKind, tuple[tuple[GateKind, tuple[int, ...]], ...]] = {
+_H2, _CS12 = Gate(GateKind.H, (2,)), Gate(GateKind.CS, (1, 2))
+_EXACT_WORDS: dict[GateKind, tuple[Gate, ...]] = {
     GateKind.H: (_H0,),
     GateKind.X: (_H0,) + (_H1, _CS01, _CS01) * 4 + (_H0,),
     GateKind.Z: (_H1, _CS01, _CS01) * 4,
@@ -101,14 +104,26 @@ _EXACT_WORDS: dict[GateKind, tuple[tuple[GateKind, tuple[int, ...]], ...]] = {
     GateKind.CSDG: (_CS01,) * 3,
     GateKind.CNOT: _CNOT01,
     GateKind.CCX: (
-        (_H2, _CS12) + _CNOT01 + (_CS12,) * 3 + _CNOT01 + ((GateKind.CS, (0, 2)), _H2)
+        (_H2, _CS12) + _CNOT01 + (_CS12,) * 3 + _CNOT01 + (Gate(GateKind.CS, (0, 2)), _H2)
     ),
 }
 
 
-def _partner(q: int) -> int:
-    """The second qubit a one-qubit gate on q is rewritten or approximated on."""
-    return 0 if q != 0 else 1
+def _operands(g: Gate) -> tuple[int, ...]:
+    """The qubits g's word acts on: g's own, then a one-qubit gate's partner.
+
+    The partner is qubit 0, or qubit 1 for a gate on 0; the word acts on it
+    as the identity.
+    """
+    if len(g.qubits) > 1:
+        return g.qubits
+    (q,) = g.qubits
+    return (q, 1 if q == 0 else 0)
+
+
+def _place(word, ops: tuple[int, ...]) -> list[Gate]:
+    """word's gates with slot qubit i sent to ops[i]."""
+    return [Gate(w.kind, tuple(ops[i] for i in w.qubits), w.matrix) for w in word]
 
 
 def rebase_exact(g: Gate) -> list[Gate] | None:
@@ -117,28 +132,15 @@ def rebase_exact(g: Gate) -> list[Gate] | None:
     The word acts on g's operands and, for a one-qubit gate, on its partner.
     """
     word = _EXACT_WORDS.get(g.kind)
-    if word is None:
-        return None
-    ops = g.qubits if len(g.qubits) > 1 else (g.qubits[0], _partner(g.qubits[0]))
-    return [Gate(kind, tuple(ops[i] for i in slots)) for kind, slots in word]
+    return None if word is None else _place(word, _operands(g))
 
 
 def needs_net(c: Circuit) -> bool:
-    """Whether rebase_circuit searches the net: only GENERIC gates take it."""
-    return any(g.kind is GateKind.GENERIC for g in c.gates)
+    """Whether rebase_circuit searches the net: only GENERIC gates take it.
 
-
-def _approx_target(g: Gate) -> tuple[np.ndarray, tuple[int, int]]:
-    """Two-qubit unitary and qubit pair for a GENERIC gate."""
-    if len(g.qubits) == 2:
-        return g.matrix, g.qubits
-    if len(g.qubits) != 1:
-        raise ValidationError(
-            f"cannot rebase a {len(g.qubits)}-qubit gate; only gates on "
-            "one or two qubits are supported"
-        )
-    q = g.qubits[0]
-    return np.kron(g.matrix, np.eye(2)), (q, _partner(q))
+    A gate takes the net when it has no exact word, as in rebase_circuit.
+    """
+    return any(g.kind not in _EXACT_WORDS for g in c.gates)
 
 
 def rebase_circuit(
@@ -148,12 +150,14 @@ def rebase_circuit(
 
     th is true on the th route, false on kitaev.  Each gate takes one of
     three paths, in circuit order: H and CS, and CCX on th, pass through
-    unchanged; another named gate is replaced by its exact word; and a
-    GENERIC gate is approximated by its nearest net entry.  net may be None
-    when needs_net(c) is false.  The accuracy budget eps is split uniformly
-    over the GENERIC gates; error_bound is the sum of their achieved
-    distances.  Every gate but H of a one-qubit circuit needs a partner
-    qubit, so such a circuit is refused.
+    unchanged; every other named gate is replaced by its exact word; and a
+    gate with no word, a GENERIC gate, by its nearest net entry, one-qubit
+    U as kron(U, I).  Both words are gates on slot qubits, placed by
+    _place on the gate's operands and a one-qubit gate's partner.  net may
+    be None when needs_net(c) is false.  The accuracy budget eps is split
+    uniformly over the gates that take the net; error_bound is the sum of
+    their achieved distances.  Every gate but H of a one-qubit circuit
+    needs a partner qubit, so such a circuit is refused.
 
     On kitaev the distance is the phase-free dist, which bounds what
     `verify --mode exact` measures.  On th, entries are chosen and summed
@@ -169,14 +173,14 @@ def rebase_circuit(
     """
     if not eps > 0:
         raise ValidationError(f"eps must be positive, got {eps}")
-    generic = sum(g.kind is GateKind.GENERIC for g in c.gates)
-    budget = eps / generic if generic else eps
+    approximated = sum(g.kind not in _EXACT_WORDS for g in c.gates)
+    budget = eps / approximated if approximated else eps
     # H and CS are their own exact words; realification accepts CCX as it is.
     keep = (GateKind.H, GateKind.CS, GateKind.CCX) if th else (GateKind.H, GateKind.CS)
     out: list[Gate] = []
     total_err = 0.0
     searched: dict[bytes, tuple[tuple[str, ...], float]] = {}
-    for g in c.gates:
+    for i, g in enumerate(c.gates):
         if g.kind in keep:
             out.append(g)
             continue
@@ -189,7 +193,12 @@ def rebase_circuit(
         if word is not None:
             out.extend(word)
             continue
-        target, pair = _approx_target(g)
+        if len(g.qubits) > 2:
+            raise ValidationError(
+                f"cannot rebase a {len(g.qubits)}-qubit gate; only gates on "
+                "one or two qubits are supported"
+            )
+        target = g.matrix if len(g.qubits) == 2 else np.kron(g.matrix, np.eye(2))
         key = target.tobytes()
         found = searched.get(key)
         if found is None:
@@ -200,21 +209,11 @@ def rebase_circuit(
         seq, achieved = found
         if achieved > budget:
             raise BudgetNotMet(
-                f"best approximation of {g.kind.value} on {g.qubits} "
+                f"gates[{i}]: best approximation of {g.kind.value} on {g.qubits} "
                 f"reaches {achieved:.3e}, above the per-gate budget {budget:.3e}",
                 best_seq=seq,
                 achieved=achieved,
             )
-        out.extend(_emit_kitaev(seq, pair, net))
+        out.extend(_place(map(net.gateset.gate, seq), _operands(g)))
         total_err += achieved
     return Circuit(c.n_qubits, out), total_err
-
-
-def _emit_kitaev(seq, pair: tuple[int, int], net: "sk_mod.Net") -> list[Gate]:
-    """Map net labels over the two-qubit domain onto concrete circuit qubits."""
-    out = []
-    for label in seq:
-        g = net.gateset.gate(label)
-        qubits = tuple(pair[q] for q in g.qubits)
-        out.append(Gate(g.kind, qubits, matrix=g.matrix))
-    return out

@@ -71,7 +71,9 @@ from .linalg import (
 
 DEFAULT_DEDUPE_TOL = 1e-4
 DEFAULT_EPS = 1e-2
-DEFAULT_MAX_ENTRIES = 5_000_000
+# Most entries build_net keeps before it raises CapExceeded, read at each
+# call so that a test can lower it.
+MAX_ENTRIES = 5_000_000
 GC_MAX_DIST = 0.5
 # Largest group-commutator residual that gc_decompose accepts.
 COMMUTATOR_TOL = 1e-10
@@ -140,7 +142,6 @@ def build_net(
     gateset: GateSet,
     max_length: int,
     dedupe_tol: float = DEFAULT_DEDUPE_TOL,
-    max_entries: int = DEFAULT_MAX_ENTRIES,
 ) -> Net:
     """All products of <= max_length generators, deduplicated at dedupe_tol.
 
@@ -167,8 +168,8 @@ def build_net(
             block = frontier[lo : lo + per_block]
             cands = (gens[None] @ block[:, None]).reshape(-1, dim, dim)
             kept = index.first_of_kind(cands)
-            if len(seqs) + len(kept) > max_entries:
-                raise CapExceeded(f"net exceeded {max_entries} entries at length {length}")
+            if len(seqs) + len(kept) > MAX_ENTRIES:
+                raise CapExceeded(f"net exceeded {MAX_ENTRIES} entries at length {length}")
             index.add(cands[kept])
             for k in kept.tolist():
                 entry, g = divmod(k, len(labels))

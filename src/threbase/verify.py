@@ -109,9 +109,11 @@ def _report(kind: str, deviations, tol: float, worst: int | None) -> Equivalence
 def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
     """(destination, source) basic indices for a permutation matrix, else None.
 
-    m is a permutation when each row has exactly one nonzero entry, that
-    entry is exactly 1, and no two rows take the same column.  With as many
-    nonzero entries as rows, a row that holds a 1 holds nothing else.
+    m is a permutation when each row has exactly one nonzero entry and that
+    entry is exactly 1.  With as many nonzero entries as rows, a row that
+    holds a 1 holds nothing else.  No two rows then take the same column:
+    such an m has a zero column, so it is singular, and Gate refuses it as
+    not unitary.
     Output slice r of the operand axes is then input slice src[r]; fixed
     points, where src[r] == r, need no move and are left out.
     """
@@ -120,8 +122,6 @@ def _slice_moves(m: np.ndarray, qubits: tuple[int, ...], n: int):
     try:
         src = [row.index(1) for row in m.tolist()]
     except ValueError:
-        return None
-    if len(set(src)) != len(src):
         return None
     k = len(qubits)
 

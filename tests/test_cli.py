@@ -14,6 +14,7 @@ from threbase import (
     parse_circuit,
 )
 from threbase.cli import main
+from threbase.errors import CompileError
 
 
 def write_circuit(path, c):
@@ -70,13 +71,47 @@ def test_missing_file_is_usage_error(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_usage_error(capsys, tmp_path, kitaev_file):
+    out = tmp_path / "missing" / "out.json"
+    assert main(["transpile", kitaev_file, "--to", "kitaev", "-o", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: cannot write {out}: ")
+    assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "raised, code, message",
+    [
+        # numpy's own message when a raised cap asks for a matrix the host
+        # cannot hold; no test allocates one.
+        (MemoryError("Unable to allocate 128. GiB"), 3,
+         "error: out of memory: Unable to allocate 128. GiB\n"),
+        (CompileError("group commutator residual 1e-3"), 1,
+         "error: group commutator residual 1e-3\n"),
+    ],
+    ids=["memory", "compile"],
+)
+def test_other_failures_exit_on_one_line(capsys, monkeypatch, kitaev_file, raised, code, message):
+    from threbase import verify
+
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(verify, "check_exact", fail)
+    assert main(["verify", kitaev_file, kitaev_file]) == code
+    captured = capsys.readouterr()
+    assert captured.err == message
+    assert captured.out == ""
+
+
 def test_transpile_th_realifies_kitaev_circuit(capsys, kitaev_file, tmp_path):
     out_path = tmp_path / "out.json"
     assert main(["transpile", kitaev_file, "--to", "th", "-o", str(out_path)]) == 0
     report = capsys.readouterr().out
     assert "error_bound: 0\n" in report
     assert "output_qubits: 3\n" in report
-    original = parse_circuit(open(kitaev_file).read())
+    original = parse_circuit(Path(kitaev_file).read_text())
     produced = parse_circuit(out_path.read_text())
     assert {g.kind for g in produced.gates} <= {GateKind.H, GateKind.CCX}
     assert check_realified(original, produced).passed
@@ -458,7 +493,8 @@ def test_transpile_budget_failure_reports_best(capsys, tmp_path, kitaev_net_file
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert "error:" in err and "best_achieved:" in err
+    assert err.startswith("error: gates[0]: best approximation of GENERIC on (0,) reaches ")
+    assert "\nbest_achieved: " in err
 
 
 def test_transpile_net_must_be_two_qubit(capsys, tmp_path):

@@ -71,6 +71,13 @@ def test_generic_gate_needs_unitary_matrix():
 def test_generic_matrix_must_match_arity():
     with pytest.raises(ValidationError):
         Gate(GateKind.GENERIC, (0,), np.eye(4))
+    with pytest.raises(ValidationError, match=r"^GENERIC gate supports 1\.\.3 qubits, got 4$"):
+        Gate(GateKind.GENERIC, (0, 1, 2, 3), np.eye(16))
+
+
+def test_generic_kind_has_no_fixed_matrix():
+    with pytest.raises(ValidationError, match="^GENERIC has no fixed matrix$"):
+        gate_matrix(GateKind.GENERIC)
 
 
 def test_gate_equality_and_hash():
@@ -80,6 +87,7 @@ def test_gate_equality_and_hash():
     assert a == b and hash(a) == hash(b)
     assert a != c
     assert Gate(GateKind.H, (0,)) != Gate(GateKind.H, (1,))
+    assert Gate(GateKind.H, (0,)) != ("H", (0,))
 
 
 def test_equal_gates_with_signed_zeros_hash_equal():

@@ -108,6 +108,8 @@ def test_circuit_gate_level_errors():
         )
     with pytest.raises(ValidationError, match=r"matrix\[0\]"):
         parse_circuit(head + '{"name":"GENERIC","qubits":[0],"matrix":[[1]]}]}')
+    with pytest.raises(ValidationError, match=r"^gates\[0\]: matrix must be a non-empty list$"):
+        parse_circuit(head + '{"name":"GENERIC","qubits":[0],"matrix":[]}]}')
 
 
 @pytest.mark.parametrize(
@@ -450,6 +452,7 @@ MUTATIONS = {
     "nested-qubits": ('"qubits":[0]},', '"qubits":[[0]]},'),
     "first-gate-dropped": ('[{"name":"H","qubits":[0]},', "["),
     "empty-gate-list": (BASE[BASE.index("[{") + 1 : -3], ""),
+    "number-gate-list": (BASE[BASE.index("[{") + 1 : -3], "1"),
     "unchanged": ("", ""),
 }
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from threbase import Gate, GateKind, dist, haar_unitary, is_unitary, phase_dist
-from threbase.linalg import ATOL, UNITARY_TOL, _dist_2x2_unitary, aligned_frob_2x2
+from threbase.linalg import ATOL, UNITARY_TOL, _dist_2x2_unitary, aligned_frob_2x2, as_matrix
 from threbase.errors import ValidationError
 
 I2 = np.eye(2, dtype=complex)
@@ -269,3 +269,17 @@ def test_dist_2x2_closed_form_matches_numpy_scalar_reference_bitwise():
         b = a @ haar_unitary(2, rng) if rng.random() < 0.5 else a * np.exp(1j * rng.normal())
         got = _dist_2x2_unitary(a, b)
         assert got.hex() == numpy_scalar_dist_2x2(a, b).hex()
+
+
+@pytest.mark.parametrize(
+    "shape, message",
+    [
+        ((2, 3), r"^expected a square matrix, got shape \(2, 3\)$"),
+        ((4,), r"^expected a square matrix, got shape \(4,\)$"),
+        ((3, 3), "^matrix dimension 3 is not a power of two$"),
+        ((0, 0), "^matrix dimension 0 is not a power of two$"),
+    ],
+)
+def test_as_matrix_refuses_bad_shapes(shape, message):
+    with pytest.raises(ValidationError, match=message):
+        as_matrix(np.zeros(shape))

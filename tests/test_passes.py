@@ -246,7 +246,9 @@ def test_rebase_circuit_approximates_within_budget(kitaev8):
 
 def test_rebase_circuit_budget_failure_carries_best(kitaev8):
     c = Circuit(2, [Gate(GateKind.GENERIC, (0,), haar_unitary(2, np.random.default_rng(4)))])
-    with pytest.raises(BudgetNotMet) as e:
+    with pytest.raises(
+        BudgetNotMet, match=r"^gates\[0\]: best approximation of GENERIC on \(0,\) reaches "
+    ) as e:
         rebase_circuit(c, kitaev8, eps=1e-9)
     assert e.value.best_seq is not None
     assert e.value.achieved > 1e-9

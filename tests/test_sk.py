@@ -188,11 +188,13 @@ def test_entry_cap(monkeypatch):
     # also when that layer spans several chunks.
     for chunk in (sk._CHUNK, 7):
         monkeypatch.setattr(sk, "_CHUNK", chunk)
+        monkeypatch.setattr(sk, "MAX_ENTRIES", 50)
         with pytest.raises(CapExceeded, match=r"^net exceeded 50 entries at length 5$"):
-            build_net(demo_1q_gate_set(), 8, max_entries=50)
+            build_net(demo_1q_gate_set(), 8)
+        monkeypatch.setattr(sk, "MAX_ENTRIES", 0)
         with pytest.raises(CapExceeded, match=r"^net exceeded 0 entries at length 1$"):
-            build_net(kitaev_gate_set(), 3, max_entries=0)
-    assert len(build_net(kitaev_gate_set(), 0, max_entries=0)) == 1
+            build_net(kitaev_gate_set(), 3)
+    assert len(build_net(kitaev_gate_set(), 0)) == 1
 
 
 def test_nearest_finds_generators_and_validates():
@@ -546,6 +548,32 @@ def test_budget_failure_carries_best(demo12):
 def test_trace_rejects_wrong_dimension(kitaev8):
     with pytest.raises(ValidationError):
         sk_trace(np.eye(4), SKConfig(net=kitaev8, eps=0.1, depth=1))
+
+
+def test_trace_rejects_non_unitary_target(demo12):
+    with pytest.raises(ValidationError, match="^target must be unitary$"):
+        sk_trace(np.diag([1.0, 2.0]), SKConfig(net=demo12, eps=0.1, depth=1))
+
+
+def test_refinement_keeps_a_word_it_cannot_improve(monkeypatch):
+    calls = []
+    decompose = sk.gc_decompose
+    monkeypatch.setattr(sk, "gc_decompose", lambda d: calls.append(d) or decompose(d))
+    h = gate_matrix(GateKind.H)
+    net0, net2 = build_net(demo_1q_gate_set(), 0), build_net(demo_1q_gate_set(), 2)
+    # An exact word, and one farther than GC_MAX_DIST, are kept untried.
+    assert sk_trace(h, SKConfig(net=net2, eps=0.1, depth=2)) == [(("H",), 0.0)] * 3
+    assert sk_trace(h, SKConfig(net=net0, eps=0.1, depth=1)) == [((), 2**0.5)] * 2
+    assert calls == []
+    # On the length-2 net the commutator of two coarse approximations lands
+    # farther from this target than the depth-0 word does, so depth 1 keeps
+    # that word and its distance.
+    rng = np.random.default_rng(1)
+    haar_unitary(2, rng)
+    u = haar_unitary(2, rng)
+    trace = sk_trace(u, SKConfig(net=net2, eps=0.1, depth=1))
+    assert trace == [(("TDG", "H"), 0.3210629150055901)] * 2
+    assert len(calls) == 1
 
 
 def test_hadamard_phase_pair_saturates():
