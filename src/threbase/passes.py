@@ -27,6 +27,13 @@ a two-qubit net entry.  An exact word and a net entry alike are gates on
 slot qubits, placed by one rule: slot i goes to the gate's operand i, and
 a one-qubit gate's slot 1 to a fixed partner qubit, on which the word acts
 as the identity.  Both passes return (circuit, error_bound).
+
+An output is long but made of few distinct gates, so each pass builds
+each distinct gate it emits once per call: rebase_circuit each distinct
+(slot gate, operands) placement, realify_circuit each distinct input
+gate's expansion, with one H on the flag.  Every repeat is the same
+frozen Gate, still built by Gate with all its checks.  The memos live
+for one call; nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -50,13 +57,16 @@ def realify_matrix(u) -> np.ndarray:
     return np.kron(u.real, np.eye(2)) + np.kron(u.imag, _J)
 
 
-def realify_gate(g: Gate, ancilla: int) -> list[Gate]:
-    """Realified expansion of one gate from the {H, CS, CCX} alphabet."""
+def realify_gate(g: Gate, ancilla: int, flag: Gate | None = None) -> list[Gate]:
+    """Realified expansion of one gate from the {H, CS, CCX} alphabet.
+
+    flag is the H on the ancilla, built here when not given.
+    """
     if g.kind is GateKind.H or g.kind is GateKind.CCX:
         return [g]
     if g.kind is GateKind.CS:
         # Gate refuses an ancilla that is one of the operands.
-        h = Gate(GateKind.H, (ancilla,))
+        h = Gate(GateKind.H, (ancilla,)) if flag is None else flag
         ccx = Gate(GateKind.CCX, g.qubits + (ancilla,))
         return [h, ccx, h, ccx]
     raise ValidationError(
@@ -69,7 +79,8 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
     """Realify a {H, CS, CCX} circuit onto {H, CCX} with one shared flag qubit.
 
     Returns (circuit, error_bound) like rebase_circuit; the bound is 0.0,
-    since every gate's expansion is exact.
+    since every gate's expansion is exact.  Each distinct input gate is
+    expanded once per call, and every CS shares one H on the flag.
     """
     ancilla = c.n_qubits
     if ancilla >= MAX_WIDTH:
@@ -77,9 +88,14 @@ def realify_circuit(c: Circuit) -> tuple[Circuit, float]:
             f"the flag qubit would take the circuit to {ancilla + 1} qubits, "
             f"over the ceiling of {MAX_WIDTH}"
         )
+    flag = Gate(GateKind.H, (ancilla,))
+    words: dict[Gate, list[Gate]] = {}
     out: list[Gate] = []
     for g in c.gates:
-        out.extend(realify_gate(g, ancilla))
+        word = words.get(g)
+        if word is None:
+            word = words[g] = realify_gate(g, ancilla, flag)
+        out.extend(word)
     return Circuit(c.n_qubits + 1, out), 0.0
 
 
@@ -121,18 +137,36 @@ def _operands(g: Gate) -> tuple[int, ...]:
     return (q, 1 if q == 0 else 0)
 
 
-def _place(word, ops: tuple[int, ...]) -> list[Gate]:
-    """word's gates with slot qubit i sent to ops[i]."""
-    return [Gate(w.kind, tuple(ops[i] for i in w.qubits), w.matrix) for w in word]
+def _place(word, ops: tuple[int, ...], placed: dict | None = None) -> list[Gate]:
+    """word's gates with slot qubit i sent to ops[i].
+
+    placed maps each (slot gate, ops) pair to its placed Gate, and each
+    placed Gate to itself.  A pair missing from it is built once and added,
+    and two pairs that place equal gates (H on slot 0 and on slot 1 can)
+    share the first, so equal placed gates are one object.  A caller shares
+    one dict across the words of a call.
+    """
+    if placed is None:
+        placed = {}
+    out = []
+    for w in word:
+        g = placed.get((w, ops))
+        if g is None:
+            g = Gate(w.kind, tuple(ops[i] for i in w.qubits), w.matrix)
+            g = placed[w, ops] = placed.setdefault(g, g)
+        out.append(g)
+    return out
 
 
-def rebase_exact(g: Gate) -> list[Gate] | None:
+def rebase_exact(g: Gate, placed: dict | None = None) -> list[Gate] | None:
     """g's exact {H, CS} word, or None when it has none.
 
-    The word acts on g's operands and, for a one-qubit gate, on its partner.
+    The word acts on g's operands and, for a one-qubit gate, on its
+    partner.  placed is _place's memo, which rebase_circuit shares across
+    the gates of one call.
     """
     word = _EXACT_WORDS.get(g.kind)
-    return None if word is None else _place(word, _operands(g))
+    return None if word is None else _place(word, _operands(g), placed)
 
 
 def needs_net(c: Circuit) -> bool:
@@ -153,11 +187,12 @@ def rebase_circuit(
     unchanged; every other named gate is replaced by its exact word; and a
     gate with no word, a GENERIC gate, by its nearest net entry, one-qubit
     U as kron(U, I).  Both words are gates on slot qubits, placed by
-    _place on the gate's operands and a one-qubit gate's partner.  net may
-    be None when needs_net(c) is false.  The accuracy budget eps is split
-    uniformly over the gates that take the net; error_bound is the sum of
-    their achieved distances.  Every gate but H of a one-qubit circuit
-    needs a partner qubit, so such a circuit is refused.
+    _place on the gate's operands and a one-qubit gate's partner, each
+    distinct placement built once per call.  net may be None when
+    needs_net(c) is false.  The accuracy budget eps is split uniformly
+    over the gates that take the net; error_bound is the sum of their
+    achieved distances.  Every gate but H of a one-qubit circuit needs a
+    partner qubit, so such a circuit is refused.
 
     On kitaev the distance is the phase-free dist, which bounds what
     `verify --mode exact` measures.  On th, entries are chosen and summed
@@ -180,6 +215,7 @@ def rebase_circuit(
     out: list[Gate] = []
     total_err = 0.0
     searched: dict[bytes, tuple[tuple[str, ...], float]] = {}
+    placed: dict = {}
     for i, g in enumerate(c.gates):
         if g.kind in keep:
             out.append(g)
@@ -189,7 +225,7 @@ def rebase_circuit(
                 f"rewriting {g.kind.value} needs a second qubit; "
                 "the circuit has only one"
             )
-        word = rebase_exact(g)
+        word = rebase_exact(g, placed)
         if word is not None:
             out.extend(word)
             continue
@@ -214,6 +250,6 @@ def rebase_circuit(
                 best_seq=seq,
                 achieved=achieved,
             )
-        out.extend(_place(map(net.gateset.gate, seq), _operands(g)))
+        out.extend(_place(map(net.gateset.gate, seq), _operands(g), placed))
         total_err += achieved
     return Circuit(c.n_qubits, out), total_err

@@ -18,9 +18,11 @@ entry accepted before it has dist < tol.  Accepted entries are sorted by
 one real key that ignores global phase and moves by at most sqrt(d) times
 dist, so the only entries that can be duplicates of a candidate lie in a
 key window of half-width sqrt(d) tol around it.  Whole windows are tested
-at once with one overlap einsum, and an in-order pass applies the
-keep-first rule, which gives the same net as comparing each candidate
-with every earlier entry.
+with one overlap einsum per slice: consecutive candidates whose windows
+hold at most _PAIRS (candidate, entry) pairs in all, so a wide tolerance
+costs time but not memory in proportion to its pairs.  An in-order pass
+applies the keep-first rule to each slice's hits in turn, which gives
+the same net as comparing each candidate with every earlier entry.
 
 The recursion refines a depth-(k-1) approximation u' of u by factoring the
 residual u @ u'^dagger into a balanced group commutator V W V^dag W^dag,
@@ -215,6 +217,10 @@ def net_from_sequences(
 
 
 _CHUNK = 2**12
+# Most (candidate, entry) pairs tested at once.  Each pair copies two
+# matrices, so at a wide tolerance, whose key windows are long, this and
+# not the number of pairs bounds the build's memory.
+_PAIRS = 2**16
 # Float slack on the key window: it covers the cancellation in
 # 2d - 2|overlap| (about sqrt(d eps)) and the rounding of the keys.
 _BOUND_SLACK = 1e-6
@@ -259,35 +265,46 @@ class _KeyIndex:
     def first_of_kind(self, cands: np.ndarray) -> np.ndarray:
         """Indices of the candidates the in-order keep-first rule accepts."""
         keys = self.keys(cands)
-        which, pos = _window(self._keys, keys, self.half_width)
-        prior = self._ids[pos]
-        hit = _duplicates(self.mats[prior], cands[which], self.tol)
         keep = np.ones(len(cands), dtype=bool)
-        keep[which[hit]] = False
+        for which, pos in _windows(self._keys, keys, self.half_width):
+            hit = _duplicates(self.mats[self._ids[pos]], cands[which], self.tol)
+            keep[which[hit]] = False
         # Pairs inside the chunk among the survivors, earlier index first.
         fresh = np.flatnonzero(keep)
         order = np.argsort(keys[fresh], kind="stable")
-        which, pos = _window(keys[fresh][order], keys[fresh], self.half_width)
-        earlier = order[pos]
-        mask = earlier < which
-        later, earlier = fresh[which[mask]], fresh[earlier[mask]]
-        hit = _duplicates(cands[earlier], cands[later], self.tol)
-        # Pairs come sorted by the later index, so each earlier candidate's
-        # fate is settled before it is consulted.
-        for j, i in zip(earlier[hit].tolist(), later[hit].tolist()):
-            if keep[j]:
-                keep[i] = False
+        for which, pos in _windows(keys[fresh][order], keys[fresh], self.half_width):
+            earlier = order[pos]
+            mask = earlier < which
+            later, earlier = fresh[which[mask]], fresh[earlier[mask]]
+            hit = _duplicates(cands[earlier], cands[later], self.tol)
+            # Pairs come sorted by the later index, slice after slice, so
+            # each earlier candidate's fate is settled before it is consulted.
+            for j, i in zip(earlier[hit].tolist(), later[hit].tolist()):
+                if keep[j]:
+                    keep[i] = False
         return np.flatnonzero(keep)
 
 
-def _window(sorted_keys: np.ndarray, queries: np.ndarray, half_width: float):
-    """(query, position) pairs with |sorted_keys[position] - query| <= half_width."""
+def _windows(sorted_keys: np.ndarray, queries: np.ndarray, half_width: float):
+    """(query, position) pairs with |sorted_keys[position] - query| <= half_width.
+
+    Yields them in query order, as arrays (which, position) for consecutive
+    slices of the queries whose windows hold at most _PAIRS pairs in all,
+    or for one query whose window alone holds more.
+    """
     lo = np.searchsorted(sorted_keys, queries - half_width, side="left")
     hi = np.searchsorted(sorted_keys, queries + half_width, side="right")
     counts = hi - lo
-    which = np.repeat(np.arange(len(queries)), counts)
-    offsets = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts)
-    return which, np.repeat(lo, counts) + offsets
+    ends = np.cumsum(counts)
+    start = 0
+    while start < len(queries):
+        before = ends[start] - counts[start]
+        stop = max(start + 1, int(np.searchsorted(ends, before + _PAIRS, side="right")))
+        n = counts[start:stop]
+        which = np.repeat(np.arange(start, stop), n)
+        offsets = np.arange(ends[stop - 1] - before) - np.repeat(np.cumsum(n) - n, n)
+        yield which, np.repeat(lo[start:stop], n) + offsets
+        start = stop
 
 
 def _duplicates(earlier: np.ndarray, later: np.ndarray, tol: float) -> np.ndarray:

@@ -1,4 +1,5 @@
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from threbase import (
     rebase_circuit,
     rebase_exact,
 )
-from threbase import sk
+from threbase import io, passes, sk
 from threbase.errors import ValidationError
 from threbase.gates import ARITY
 from threbase.passes import needs_net
@@ -342,3 +343,103 @@ def test_rebase_circuit_searches_each_distinct_target_once(kitaev8, monkeypatch)
         assert len(searches) == 3
         assert out.gates == tuple(want_gates)
         assert error_bound == want_bound
+
+
+# Reference copies of _place and realify_gate with no memo: every emitted
+# gate is a new Gate, built where it occurs.
+
+
+def per_occurrence_place(word, ops, placed=None):
+    return [Gate(w.kind, tuple(ops[i] for i in w.qubits), w.matrix) for w in word]
+
+
+def per_occurrence_realify_gate(g, ancilla, flag=None):
+    if g.kind is GateKind.H or g.kind is GateKind.CCX:
+        return [g]
+    if g.kind is GateKind.CS:
+        h = Gate(GateKind.H, (ancilla,))
+        ccx = Gate(GateKind.CCX, g.qubits + (ancilla,))
+        return [h, ccx, h, ccx]
+    raise ValidationError("realify_gate accepts only H, CS and CCX")
+
+
+def transpiled(c, net, eps):
+    """emit_circuit bytes and bounds of kitaev, th, and th realified."""
+    kitaev, kitaev_bound = rebase_circuit(c, net, eps)
+    th, th_bound = rebase_circuit(c, net, eps, th=True)
+    realified, _ = realify_circuit(th)
+    return [io.emit_circuit(x) for x in (kitaev, th, realified)], kitaev_bound, th_bound
+
+
+def repeated_named_circuit():
+    """Every named kind three times on the same operands, once on others."""
+    gates = []
+    for kind, arity in ARITY.items():
+        gates += [Gate(kind, (1, 2, 0)[:arity])] * 3 + [Gate(kind, (0, 2, 1)[:arity])]
+    return Circuit(3, gates)
+
+
+def seeded_generic_circuits(rng, count):
+    """Named gates with one- and two-qubit Haar GENERIC gates among them."""
+    kinds = [k for k in ARITY if ARITY[k] < 3]
+    for _ in range(count):
+        n = int(rng.integers(2, 5))
+        gates = []
+        for _ in range(int(rng.integers(4, 12))):
+            k = int(rng.integers(1, 3)) if rng.random() < 0.3 else None
+            if k is None:
+                kind = kinds[int(rng.integers(len(kinds)))]
+                qs = rng.choice(n, ARITY[kind], replace=False)
+                gates.append(Gate(kind, tuple(int(q) for q in qs)))
+            else:
+                qs = rng.choice(n, k, replace=False)
+                gates.append(Gate(GateKind.GENERIC, tuple(int(q) for q in qs),
+                                  haar_unitary(2**k, rng)))
+        yield Circuit(n, gates)
+
+
+TRANSPILE_DATA = Path(__file__).parent / "data" / "transpile"
+
+
+def test_memoized_passes_emit_the_per_occurrence_bytes(kitaev8, monkeypatch):
+    net4 = build_net(kitaev_gate_set(), 4)
+    cases = [(io.parse_circuit(path.read_text()), kitaev8, 100.0)
+             for path in sorted(TRANSPILE_DATA.glob("*.in.json"))]
+    cases.append((repeated_named_circuit(), None, 1.0))
+    cases += [(c, net4, 2.0 * len(c)) for c in seeded_generic_circuits(np.random.default_rng(5), 12)]
+    got = [transpiled(c, net, eps) for c, net, eps in cases]
+    monkeypatch.setattr(passes, "_place", per_occurrence_place)
+    monkeypatch.setattr(passes, "realify_gate", per_occurrence_realify_gate)
+    want = [transpiled(c, net, eps) for c, net, eps in cases]
+    assert got == want
+
+
+def test_rebase_builds_each_distinct_placement_once_per_call(monkeypatch):
+    made = []
+
+    def counted(*args):
+        made.append(args)
+        return Gate(*args)
+
+    monkeypatch.setattr(passes, "Gate", counted)
+    c = Circuit(3, [Gate(GateKind.CCX, (0, 1, 2))] * 50)
+    for call in (1, 2):
+        made.clear()
+        out, _ = rebase_circuit(c, None, eps=1.0)
+        # H(2), CS(1, 2), H(1), CS(0, 1) and CS(0, 2): the CCX word's
+        # distinct slot gates, built again by every call.
+        assert len(made) == 5
+        assert len(out) == 50 * 15
+
+
+def test_equal_emitted_gates_are_one_object():
+    # No H or CS in the input, so rebase keeps nothing and builds every
+    # gate it emits; realify keeps H and CCX and builds the rest.
+    c = Circuit(3, [g for g in repeated_named_circuit().gates
+                    if g.kind not in (GateKind.H, GateKind.CS)])
+    for th in (False, True):
+        out, _ = rebase_circuit(c, None, eps=1.0, th=th)
+        for x in (out, realify_circuit(out)[0]):
+            first: dict[Gate, Gate] = {}
+            assert all(first.setdefault(g, g) is g for g in x.gates)
+            assert len(first) < len(x) / 4

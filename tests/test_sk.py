@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from threbase import (
 )
 from threbase import io, sk
 from threbase.errors import CapExceeded, CompileError, ValidationError
+from threbase.gates import BUILTIN_GATE_SETS
 from threbase.sk import (
     COMMUTATOR_TOL,
     GC_MAX_DIST,
@@ -126,6 +128,52 @@ def test_chunked_build_matches_naive_reference(monkeypatch):
     gs = demo_1q_gate_set()
     got = build_net(gs, 6)
     assert_same_entries(got, naive_net(gs, 6, got.dedupe_tol))
+
+
+def test_pair_slices_match_naive_reference(monkeypatch):
+    # Seven pairs per _duplicates call: wide windows straddle slices, and
+    # one query's window alone often holds more than a slice.
+    monkeypatch.setattr(sk, "_PAIRS", 7)
+    cases = [(demo_1q_gate_set(), 8, tol) for tol in (1e-4, 1e-2, 0.3)]
+    cases.append((kitaev_gate_set(), 4, 0.3))
+    for gs, length, tol in cases:
+        assert_same_entries(build_net(gs, length, tol), naive_net(gs, length, tol))
+
+
+def emit_net_sha256(net) -> str:
+    return hashlib.sha256(io.emit_net(net).encode()).hexdigest()
+
+
+# emit_net sha256 of builds made before the pairs were tested in slices.
+NET_SHA256 = {
+    ("kitaev", 8, 1e-4): "58088924964ad7dc0f5d64f551e6573e0589329ba50d19e6c2cd651b3ef78268",
+    ("ht", 12, 1e-4): "b89f15c09a4755e1eba8a3bb8ebe0401516d7de9972a3b65aaf61c6387432079",
+    ("kitaev", 8, 0.05): "d19892d2a16e9b53966a2fba2a61784a01907882a42cd8c5f62543bee1cf9ec1",
+    ("kitaev", 8, 0.3): "8a619002b40fdf26dadb8e8793c1a219c31c59a0ddf50872386fe5c1d2d17095",
+    ("ht", 22, 0.3): "7c42e2016dfaa54977e4810ed394df5baa5ecd53d36e7e753a7c2177386cdcef",
+}
+HT16_WIDE_SHA256 = "30af300995242207fcef35e0b1d2e46cd52ba980bf07f4bfa2c43f7f4c4285a2"
+
+
+@pytest.mark.parametrize("name, length, tol", list(NET_SHA256))
+def test_net_builds_keep_their_bytes(name, length, tol):
+    net = build_net(BUILTIN_GATE_SETS[name](), length, tol)
+    assert emit_net_sha256(net) == NET_SHA256[name, length, tol]
+
+
+def test_wide_tolerance_build_peak_memory_is_bounded():
+    # ht 16 at 0.05 tests about 3.9 million pairs; tested all at once, their
+    # copies peaked at 342 MiB for a net of 0.33 MiB.
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        net = build_net(demo_1q_gate_set(), 16, 0.05)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert emit_net_sha256(net) == HT16_WIDE_SHA256
+    assert peak < 48 * 2**20
 
 
 def band_pairs(d, tol, rng):
