@@ -84,9 +84,10 @@ class Gate:
     kind: GateKind
     qubits: tuple[int, ...]
     matrix: np.ndarray | None = None
-    # Matrix bytes with -0.0 folded into 0.0, which __eq__ treats as equal;
-    # set once for GENERIC gates so that hashing copies no matrix.
-    _hash_key = None
+    # Set once, since every per-call memo keyed by gates looks it up.  str
+    # hashes are salted per process, so a pickle carries no hash:
+    # __reduce__ rebuilds the gate through the constructor.
+    _hash = None
 
     def __post_init__(self):
         try:
@@ -122,9 +123,13 @@ class Gate:
             m = m.copy()
             m.setflags(write=False)
             object.__setattr__(self, "matrix", m)
-            object.__setattr__(self, "_hash_key", (m + 0.0).tobytes())
+            # -0.0 folded into 0.0, which __eq__ treats as equal.
+            matrix_key = (m + 0.0).tobytes()
         elif len(qubits) != ARITY[kind]:
             raise ValidationError(f"{kind.value} acts on {ARITY[kind]} qubits, got {qubits}")
+        else:
+            matrix_key = None
+        object.__setattr__(self, "_hash", hash((kind, qubits, matrix_key)))
 
     def __eq__(self, other):
         if not isinstance(other, Gate):
@@ -136,7 +141,10 @@ class Gate:
         return bool(np.array_equal(self.matrix, other.matrix))
 
     def __hash__(self):
-        return hash((self.kind, self.qubits, self._hash_key))
+        return self._hash
+
+    def __reduce__(self):
+        return Gate, (self.kind, self.qubits, self.matrix)
 
 
 def gate_matrix(gate: Gate | GateKind | str) -> np.ndarray:

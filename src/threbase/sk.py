@@ -2,12 +2,11 @@
 
 A net is a deduplicated table of all products of at most L generators,
 held as two parallel columns: the entries' label sequences (application
-order) and one contiguous, read-only (N, d, d) stack of their matrices,
-which the search scans in one batched call.  The stack is the net's only
-copy of its matrices: overlaps conjugate the target.  Dedup keeps the first
-sequence found in breadth-first order, so entries are shortest-first,
-every entry's sequence minus its last label is an earlier entry, and net
-construction is fully deterministic.  Those two properties let
+order) and one contiguous, read-only (N, d, d) stack of their matrices.
+The stack is the net's only copy of its matrices: overlaps conjugate the
+target.  Dedup keeps the first sequence found in breadth-first order, so
+entries are shortest-first, every entry's sequence minus its last label
+is an earlier entry, and net construction is fully deterministic.  Those two properties let
 net_from_sequences rebuild a net's matrices from its sequences alone, one
 batched matmul per length, bit for bit as the build formed them; net
 caches therefore store no matrices.
@@ -47,11 +46,22 @@ distance.
 
 The search measures the phase-free dist by default.  On request it
 measures the phase-fixed ||e - u||_2 instead, which a realified circuit
-sees, since realification keeps a global phase.
+sees, since realification keeps a global phase.  Each search bounds
+every entry in one batched call and runs its exact kernel on the entries
+the bound cannot rule out, except the phase-free one at dimension 2,
+which the recursion makes.  That one first filters through a table of
+the entries' unit quaternions, built once per net: the closed form's
+folded overlap is |q_u . q_e| for matrices in SU(2) form up to a
+scalar, so one real matrix-vector product finds the few entries that can
+be nearest, with a slack for the target's and the net's distance from
+that form.  The closed form then runs on those alone, each with the
+arithmetic of a scan over all entries, so the result is that scan's bit
+for bit.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -95,9 +105,11 @@ class Net:
 
     seqs[i] is entry i's label sequence and stack[i] its matrix; the stack
     is one read-only (N, d, d) array, held once: searches conjugate their
-    target, not the stack.  NetEntry objects are made only on
-    request: `entries` builds them all on first read, and `nearest` makes
-    one for its winner; the search itself returns an index.
+    target, not the stack.  A dimension-2 net also builds, on first
+    search, each entry's |det| and unit quaternion (`absdet_stack`,
+    `quaternions`).  NetEntry objects are made only on request: `entries`
+    builds them all on first read, and `nearest` makes one for its winner;
+    the search itself returns an index.
     """
 
     def __init__(
@@ -136,8 +148,29 @@ class Net:
 
     @cached_property
     def absdet_stack(self) -> np.ndarray:
-        s = self.stack
+        """|det e| of every entry, for the closed form of the 2x2 search."""
+        s = self._stack_2x2("absdet_stack")
         return np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
+
+    @cached_property
+    def quaternions(self) -> tuple[np.ndarray, float]:
+        """(table, form): the 2x2 search's filter over the entries.
+
+        table is the read-only (N, 4) array of each entry's unit quaternion
+        and form the largest distance of an entry from its quaternion's
+        SU(2) matrix, both as _su2_form defines them.
+        """
+        s = self._stack_2x2("quaternions")
+        q, form = _su2_form(s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1], np.sqrt)
+        # Column-major: numpy's matrix-vector product reads it faster.
+        table = np.stack(q).T
+        table.flags.writeable = False
+        return table, float(form.max(initial=0.0))
+
+    def _stack_2x2(self, what: str) -> np.ndarray:
+        if self.dim != 2:
+            raise ValidationError(f"{what} is defined on dimension-2 nets only, not {self.dim}")
+        return self.stack
 
 
 def build_net(
@@ -330,6 +363,55 @@ def _row_dists(rows: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 _TIE_TOL = 1e-12
+# Slack of the quaternion filter, in folded overlap, beside the per-call
+# form terms (_su2_candidates).  A tie band of _TIE_TOL in dist is
+# (d_n + d_min) / 2 * _TIE_TOL <= sqrt(2) _TIE_TOL in folded overlap, since
+# dist^2 = 2 - 2 folded and dist <= sqrt(2); 2 _TIE_TOL covers it, and
+# 1e-13 covers the rounding of both the closed form and the quaternions,
+# each a few units in the last place of numbers at most 1.
+_FOLD_SLACK = 2.0 * _TIE_TOL + 1e-13
+
+
+def _su2_form(m00, m01, m10, m11, sqrt):
+    """Unit quaternion of m / sqrt(det m), and that matrix's distance from it.
+
+    m / sqrt(det m) = [[a, b], [-b*, a*]] + [[x, y], [y*, -x*]]: an SU(2)
+    form part with quaternion q = (Re a, Im a, Re b, Im b), and a part
+    orthogonal to every such matrix under Re tr(X^dag Y).  The distance is
+    ||m / sqrt(det m) - Q||_F / sqrt(2) for Q the SU(2) matrix of q / |q|,
+    which is sqrt(|x|^2 + |y|^2 + (|q| - 1)^2).  The entries may be Python
+    complex numbers, with sqrt = cmath.sqrt, or numpy arrays, with np.sqrt.
+    """
+    c = sqrt(m00 * m11 - m01 * m10)
+    n00, n01, n10, n11 = m00 / c, m01 / c, m10 / c, m11 / c
+    a = (n00 + n11.conjugate()) / 2
+    b = (n01 - n10.conjugate()) / 2
+    x = (n00 - n11.conjugate()) / 2
+    y = (n01 + n10.conjugate()) / 2
+    norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
+    form = (abs(x) ** 2 + abs(y) ** 2 + (norm - 1.0) ** 2) ** 0.5
+    return (a.real / norm, a.imag / norm, b.real / norm, b.imag / norm), form
+
+
+def _su2_candidates(net: Net, u: np.ndarray) -> np.ndarray:
+    """Indices of the entries that can be nearest to a 2x2 unitary u by dist.
+
+    The closed form's folded overlap |tr(u^dag e)| / (2 sqrt(|det u det e|))
+    is |<M, E>| / 2 for M = u / sqrt(det u) and E = e / sqrt(det e), and
+    <Q_u, Q_e> / 2 = q_u . q_e for their SU(2) matrices Q and unit
+    quaternions q.  By Cauchy-Schwarz the two overlaps differ by at most
+    delta = f_u (1 + f_net) + f_net, with f_u the target's distance from
+    SU(2) form and f_net the net's largest (_su2_form); the closed form's
+    clamp at 1 only brings them nearer, as q_u . q_e <= 1.  An entry within
+    the tie band of the nearest therefore has a quaternion overlap within
+    _FOLD_SLACK + 2 delta of the largest, and those entries are kept.
+    """
+    table, f_net = net.quaternions
+    (u00, u01), (u10, u11) = u.tolist()
+    q, f_u = _su2_form(u00, u01, u10, u11, cmath.sqrt)
+    overlap = np.abs(table @ q)
+    slack = _FOLD_SLACK + 2.0 * (f_u * (1.0 + f_net) + f_net)
+    return np.flatnonzero(overlap >= overlap.max() - slack)
 
 
 def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, float]:
@@ -350,24 +432,29 @@ def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, f
         raise ValidationError("nearest-entry search needs a unitary target")
     d = net.dim
     seqs = net.seqs
-    # tr(u^dag e) for every entry e, the conjugate taken on the one target.
-    traces = np.einsum("nij,ij->n", net.stack, np.conj(u))
+    stack = net.stack
+    if d == 2 and not phase_fixed:
+        cand = _su2_candidates(net, u)
+        stack = stack[cand]
+    # tr(u^dag e) for every entry e searched, the conjugate taken on the one target.
+    traces = np.einsum("nij,ij->n", stack, np.conj(u))
     if phase_fixed:
         # ||e - u||_F^2 = 2d - 2 Re tr(u^dag e).
         cand, dists = _bounded_search(
-            net.stack, traces.real, lambda rows: np.linalg.norm(rows - u, ord=2, axis=(-2, -1))
+            stack, traces.real, lambda rows: np.linalg.norm(rows - u, ord=2, axis=(-2, -1))
         )
     elif d == 2:
-        # Same closed form as dist() on unitary 2x2 pairs, over all entries
-        # at once: the overlap and |det| give the folded eigenphase gap.
+        # Same closed form as dist() on unitary 2x2 pairs, over the filter's
+        # candidates at once: the overlap and |det| give the folded eigenphase gap.
         absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-        folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack * absdet_u)))
+        folded = np.minimum(
+            1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack[cand] * absdet_u))
+        )
         dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
-        cand = np.arange(len(net))
     else:
         # min over phi of ||e - e^{i phi} u||_F^2 = 2d - 2 |tr(u^dag e)|.
         cand, dists = _bounded_search(
-            net.stack, np.abs(traces), lambda rows: _row_dists(rows, u)
+            stack, np.abs(traces), lambda rows: _row_dists(rows, u)
         )
     ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
     best, achieved = min(

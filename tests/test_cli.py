@@ -641,6 +641,16 @@ def test_bench_csv_is_deterministic_and_monotone(capsys):
         assert all(b <= a for a, b in zip(achieved, achieved[1:]))
 
 
+SK_SCALING_16 = Path(__file__).parent / "data" / "sk_scaling_len16.csv"
+
+
+def test_bench_matches_recorded_table_at_length_16(capsys):
+    # Recorded before the nearest-entry search filtered through quaternions.
+    argv = ["bench", "--sk-scaling", "--targets", "5", "--max-depth", "3", "--max-len", "16"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == SK_SCALING_16.read_bytes()
+
+
 def test_bench_requires_mode_flag(capsys):
     assert main(["bench"]) == 2
     assert "--sk-scaling" in capsys.readouterr().err

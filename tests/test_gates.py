@@ -1,3 +1,8 @@
+import os
+import pickle
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -86,6 +91,12 @@ def test_gate_equality_and_hash():
     c = Gate(GateKind.GENERIC, (0,), np.diag([1, -1j]))
     assert a == b and hash(a) == hash(b)
     assert a != c
+    # A name for the kind and numpy or list operands make an equal gate.
+    for x, y in [
+        (Gate(GateKind.CS, (0, 1)), Gate("CS", [np.int64(0), 1])),
+        (a, Gate("GENERIC", [0], np.diag([1, 1j]).tolist())),
+    ]:
+        assert x == y and hash(x) == hash(y) and {x: 1}[y] == 1
     assert Gate(GateKind.H, (0,)) != Gate(GateKind.H, (1,))
     assert Gate(GateKind.H, (0,)) != ("H", (0,))
 
@@ -96,6 +107,41 @@ def test_equal_gates_with_signed_zeros_hash_equal():
     assert a.matrix.tobytes() != b.matrix.tobytes()
     assert a == b and hash(a) == hash(b)
     assert len({a, b}) == 1
+
+
+# Built in a process with another hash salt: the unpickled gates must hash
+# as gates built there from the same arguments do.
+_UNPICKLE = """
+import pickle, sys
+import numpy as np
+from threbase import Gate, GateKind
+gates = pickle.loads(sys.stdin.buffer.read())
+fresh = [Gate(GateKind.H, (0,)), Gate(GateKind.CCX, (2, 0, 1)),
+         Gate(GateKind.GENERIC, (1,), np.array([[0, 1j], [1j, -0.0]]))]
+assert gates == fresh
+assert [hash(g) for g in gates] == [hash(g) for g in fresh]
+assert all({f: k}[g] == k for k, (g, f) in enumerate(zip(gates, fresh)))
+print(hash(GateKind.H))
+"""
+
+
+def test_pickled_gate_rehashes_in_another_process():
+    gates = [
+        Gate(GateKind.H, (0,)),
+        Gate(GateKind.CCX, (2, 0, 1)),
+        Gate(GateKind.GENERIC, (1,), np.array([[0, 1j], [1j, 0.0]])),
+    ]
+    seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
+    done = subprocess.run(
+        [sys.executable, "-c", _UNPICKLE],
+        input=pickle.dumps(gates),
+        env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(sys.path)},
+        capture_output=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr.decode()
+    # The salt really differed, so a carried hash would have been wrong.
+    assert int(done.stdout) != hash(GateKind.H)
 
 
 def test_kitaev_set_embeds_generators():

@@ -26,6 +26,7 @@ from threbase import (
 from threbase import io, sk
 from threbase.errors import CapExceeded, CompileError, ValidationError
 from threbase.gates import BUILTIN_GATE_SETS
+from threbase.linalg import CLOSED_FORM_MIN, UNITARY_TOL, is_unitary
 from threbase.sk import (
     COMMUTATOR_TOL,
     GC_MAX_DIST,
@@ -33,6 +34,7 @@ from threbase.sk import (
     _angle_axis,
     _nearest,
     _rotation,
+    _su2_candidates,
     _to_su2,
 )
 
@@ -365,6 +367,144 @@ def test_phase_fixed_nearest_matches_exhaustive_search(name, demo12, kitaev8):
         assert achieved == pytest.approx(norms[want], abs=1e-15)
         # The phase-fixed distance never undercuts the phase-free one.
         assert achieved >= _nearest(net, u)[1] - 1e-15
+
+
+def closed_form_nearest(net, u):
+    """(index, distance, tie set) of the phase-free 2x2 search over every
+    entry: the closed form as it stood before the quaternion filter."""
+    s = net.stack
+    traces = np.einsum("nij,ij->n", s, np.conj(u))
+    absdet = np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
+    absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+    folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(absdet * absdet_u)))
+    dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
+    ties = np.flatnonzero(dists <= dists.min() + 1e-12)
+    best, achieved = min(
+        zip(ties.tolist(), dists[ties].tolist()),
+        key=lambda pair: (len(net.seqs[pair[0]]), net.seqs[pair[0]]),
+    )
+    if achieved < CLOSED_FORM_MIN:
+        achieved = dist(net.stack[best], u)
+    return best, achieved, ties
+
+
+def su2_matrix(q):
+    a, b = complex(q[0], q[1]), complex(q[2], q[3])
+    return np.array([[a, b], [-b.conjugate(), a.conjugate()]])
+
+
+def bisector_points(net, rng, count, gap=0.0, off=0.0):
+    """(i, j, q) for count random entries i and the nearest other entry j
+    to each: q is the unit quaternion equidistant from the two at their
+    geodesic midpoint, or about off from it along a direction orthogonal to
+    both, then moved toward one of the two at random until its overlap
+    with that one leads by about gap."""
+    table = net.quaternions[0]
+    for i in rng.choice(len(net), size=count, replace=False).tolist():
+        overlap = np.abs(table @ table[i])
+        overlap[i] = -1.0
+        j = int(np.argmax(overlap))
+        qi, qj = table[i], np.sign(table[i] @ table[j]) * table[j]
+        w = rng.normal(size=4)
+        basis = np.linalg.qr(np.stack([qi, qj, w], axis=1))[0]
+        toward = (qi - qj) * (1.0 if rng.random() < 0.5 else -1.0)
+        # |qi + qj| is about 2, and toward moves the two overlaps apart by
+        # (2 - 2 overlap) per unit before normalising.
+        q = qi + qj + 2.0 * off * basis[:, 2] + gap * toward / (1.0 - abs(overlap[j]))
+        yield i, j, q / np.linalg.norm(q)
+
+
+def filter_targets(net, rng):
+    """Targets for the quaternion filter, each tagged with the two entries
+    it lies midway between, or None."""
+    targets = [(haar_unitary(2, rng), None) for _ in range(40)]
+    for angle in np.geomspace(1e-9, 0.5, 40):
+        q = haar_unitary(2, rng)
+        phases = angle * rng.uniform(-1, 1, size=2)
+        targets.append(((q * np.exp(1j * phases)) @ q.conj().T, None))
+    for i in rng.choice(len(net), size=40, replace=False):
+        targets.append((np.exp(1j * rng.uniform(0, 2 * np.pi)) * net.stack[i], None))
+    # Geodesic midpoints of an entry and its nearest other entry: equal
+    # quaternion overlaps, and equal distances up to rounding.
+    for i, j, q in bisector_points(net, rng, 40):
+        targets.append((np.exp(1j * rng.uniform(0, 2 * np.pi)) * su2_matrix(q), (i, j)))
+    # Each of the above moved by up to 3e-7 in every entry, which the
+    # search still accepts as unitary.
+    for u, _ in targets[:: len(targets) // 60]:
+        kick = 3e-7 * rng.uniform(0, 1, (2, 2)) * np.exp(2j * np.pi * rng.uniform(0, 1, (2, 2)))
+        targets.append((u + kick, None))
+    return targets
+
+
+@pytest.mark.parametrize("length", [12, 16])
+def test_quaternion_filter_matches_exhaustive_closed_form_bitwise(length, demo12):
+    net = demo12 if length == 12 else build_net(demo_1q_gate_set(), 16)
+    rng = np.random.default_rng(1000 + length)
+    midpoint_ties = 0
+    for u, pair in filter_targets(net, rng):
+        assert is_unitary(u, UNITARY_TOL)
+        want, achieved, ties = closed_form_nearest(net, u)
+        got, got_achieved = _nearest(net, u)
+        assert (got, got_achieved.hex()) == (want, achieved.hex())
+        # Every entry in the tie band survives the filter.
+        assert set(ties.tolist()) <= set(_su2_candidates(net, u).tolist())
+        if pair is not None and set(pair) <= set(ties.tolist()):
+            midpoint_ties += 1
+    # The constructed ties really are ties.
+    assert midpoint_ties == 40
+
+
+def test_quaternion_filter_keeps_ties_off_su2_form(demo12):
+    # Targets and net entries 1e-2 and 1e-4 from SU(2) form, each off by a
+    # part the closed form sees and the quaternions do not.  Near the
+    # bisector of two entries the folded overlaps then often order the two
+    # against their quaternion overlaps, and only the form terms of the
+    # slack keep the closed form's nearest among the survivors.
+    rng = np.random.default_rng(77)
+    reordered = 0
+    for *_, q in bisector_points(demo12, rng, 40, gap=1e-9, off=0.02):
+        x, y = 1e-2 * haar_unitary(2, rng)[0]
+        # Keep det(off) real, so that the filter reads q back from it.
+        a, b = complex(q[0], q[1]), complex(q[2], q[3])
+        z = (x * a.conjugate() + y * b.conjugate()).imag
+        x, y = x - 1j * z * a, y - 1j * z * b
+        off = su2_matrix(q) + np.array([[x, y], [y.conjugate(), -x.conjugate()]])
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * off
+        best, _, ties = closed_form_nearest(demo12, u)
+        kept = _su2_candidates(demo12, u)
+        assert set(ties.tolist()) <= set(kept.tolist())
+        reordered += best != int(np.argmax(np.abs(demo12.quaternions[0] @ q)))
+    assert reordered >= 10
+
+    kick = 1e-4 * rng.uniform(0, 1, demo12.stack.shape)
+    stack = demo12.stack + kick * np.exp(2j * np.pi * rng.uniform(0, 1, kick.shape))
+    off_net = Net(demo12.gateset, 12, demo12.dedupe_tol, demo12.seqs, stack)
+    reordered = 0
+    for *_, q in bisector_points(off_net, rng, 40, gap=1e-9):
+        u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * su2_matrix(q)
+        want, achieved, _ = closed_form_nearest(off_net, u)
+        got, got_achieved = _nearest(off_net, u)
+        assert (got, got_achieved.hex()) == (want, achieved.hex())
+        reordered += want != int(np.argmax(np.abs(off_net.quaternions[0] @ q)))
+    assert reordered >= 10
+
+
+def test_two_by_two_tables_refuse_other_dimensions():
+    net = build_net(kitaev_gate_set(), 2)
+    for name in ("absdet_stack", "quaternions"):
+        want = f"^{name} is defined on dimension-2 nets only, not 4$"
+        with pytest.raises(ValidationError, match=want):
+            getattr(net, name)
+
+
+def test_quaternion_table_is_read_only_and_unit(demo12):
+    table, form = demo12.quaternions
+    assert table.shape == (len(demo12), 4) and not table.flags.writeable
+    assert np.allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-15)
+    assert 0.0 <= form < 1e-14
+    # Each entry equals its quaternion's SU(2) matrix up to a global phase.
+    for k in (0, 1, 500, len(demo12) - 1):
+        assert dist(su2_matrix(table[k]), demo12.stack[k]) < 1e-14
 
 
 def test_build_net_validates_arguments():
