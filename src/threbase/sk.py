@@ -54,9 +54,13 @@ the entries' unit quaternions, built once per net: the closed form's
 folded overlap is |q_u . q_e| for matrices in SU(2) form up to a
 scalar, so one real matrix-vector product finds the few entries that can
 be nearest, with a slack for the target's and the net's distance from
-that form.  The closed form then runs on those alone, each with the
-arithmetic of a scan over all entries, so the result is that scan's bit
-for bit.
+that form.  The closed form then scores those alone, in one loop on
+Python scalars: numpy's per-call overhead on a single survivor cost more
+than its arithmetic.  The trace overlap is summed in the order of the
+array form's einsum, and its modulus stays numpy's array abs, whose last
+bit differs from abs()'s on some inputs and would move the distance
+through the cancellation in sqrt(2 - 2 folded); so the result is that of
+a closed-form scan over all entries, bit for bit.
 """
 
 from __future__ import annotations
@@ -393,8 +397,9 @@ def _su2_form(m00, m01, m10, m11, sqrt):
     return (a.real / norm, a.imag / norm, b.real / norm, b.imag / norm), form
 
 
-def _su2_candidates(net: Net, u: np.ndarray) -> np.ndarray:
-    """Indices of the entries that can be nearest to a 2x2 unitary u by dist.
+def _su2_candidates(net: Net, rows: list) -> np.ndarray:
+    """Indices of the entries that can be nearest to a 2x2 unitary u by dist,
+    given as its rows u.tolist().
 
     The closed form's folded overlap |tr(u^dag e)| / (2 sqrt(|det u det e|))
     is |<M, E>| / 2 for M = u / sqrt(det u) and E = e / sqrt(det e), and
@@ -407,11 +412,11 @@ def _su2_candidates(net: Net, u: np.ndarray) -> np.ndarray:
     _FOLD_SLACK + 2 delta of the largest, and those entries are kept.
     """
     table, f_net = net.quaternions
-    (u00, u01), (u10, u11) = u.tolist()
+    (u00, u01), (u10, u11) = rows
     q, f_u = _su2_form(u00, u01, u10, u11, cmath.sqrt)
     overlap = np.abs(table @ q)
     slack = _FOLD_SLACK + 2.0 * (f_u * (1.0 + f_net) + f_net)
-    return np.flatnonzero(overlap >= overlap.max() - slack)
+    return (overlap >= overlap.max() - slack).nonzero()[0]
 
 
 def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, float]:
@@ -419,7 +424,11 @@ def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, f
 
     With phase_fixed, the distance is ||e - u||_2 instead, which counts a
     global phase between the two.  Ties within _TIE_TOL go to the shorter,
-    then lexicographically first, sequence.
+    then lexicographically first, sequence.  The phase-free search at
+    dimension 2 scores the quaternion filter's survivors on Python
+    scalars, with tr(u^dag e) summed in einsum's order and its modulus
+    taken by numpy's array abs, so each distance is the array form's bit
+    for bit; the other searches bound every entry with one einsum.
     """
     if not len(net):
         raise ValidationError("net has no entries")
@@ -430,42 +439,53 @@ def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, f
         )
     if not is_unitary(u, UNITARY_TOL):
         raise ValidationError("nearest-entry search needs a unitary target")
-    d = net.dim
     seqs = net.seqs
     stack = net.stack
-    if d == 2 and not phase_fixed:
-        cand = _su2_candidates(net, u)
-        stack = stack[cand]
-    # tr(u^dag e) for every entry e searched, the conjugate taken on the one target.
+    if net.dim == 2 and not phase_fixed:
+        rows = u.tolist()
+        cand = _su2_candidates(net, rows)
+        # Same closed form as dist() on unitary 2x2 pairs, on the filter's
+        # candidates: the overlap and |det| give the folded eigenphase gap.
+        (u00, u01), (u10, u11) = rows
+        c00, c01, c10, c11 = u00.conjugate(), u01.conjugate(), u10.conjugate(), u11.conjugate()
+        traces = [
+            e00 * c00 + e01 * c01 + e10 * c10 + e11 * c11
+            for (e00, e01), (e10, e11) in stack[cand].tolist()
+        ]
+        absdet_u = abs(u00 * u11 - u01 * u10)
+        dists = [
+            math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, t / (2.0 * math.sqrt(a * absdet_u)))))
+            for t, a in zip(np.abs(traces).tolist(), net.absdet_stack[cand].tolist())
+        ]
+        best, achieved = _tie_break(seqs, cand.tolist(), dists)
+        if achieved < CLOSED_FORM_MIN:
+            # Near-exact hits sit in the closed form's cancellation regime;
+            # report the achieved distance at full absolute accuracy.
+            achieved = dist(stack[best], u)
+        return best, achieved
+    # tr(u^dag e) for every entry e, the conjugate taken on the one target.
     traces = np.einsum("nij,ij->n", stack, np.conj(u))
     if phase_fixed:
         # ||e - u||_F^2 = 2d - 2 Re tr(u^dag e).
         cand, dists = _bounded_search(
             stack, traces.real, lambda rows: np.linalg.norm(rows - u, ord=2, axis=(-2, -1))
         )
-    elif d == 2:
-        # Same closed form as dist() on unitary 2x2 pairs, over the filter's
-        # candidates at once: the overlap and |det| give the folded eigenphase gap.
-        absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-        folded = np.minimum(
-            1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack[cand] * absdet_u))
-        )
-        dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
     else:
         # min over phi of ||e - e^{i phi} u||_F^2 = 2d - 2 |tr(u^dag e)|.
         cand, dists = _bounded_search(
             stack, np.abs(traces), lambda rows: _row_dists(rows, u)
         )
-    ties = np.flatnonzero(dists <= dists.min() + _TIE_TOL)
-    best, achieved = min(
-        zip(cand[ties].tolist(), dists[ties].tolist()),
+    return _tie_break(seqs, cand.tolist(), dists.tolist())
+
+
+def _tie_break(seqs, cand: list[int], dists: list[float]) -> tuple[int, float]:
+    """(entry, distance) of the shortest, then lexicographically first,
+    sequence among the candidates within _TIE_TOL of the nearest."""
+    cut = min(dists) + _TIE_TOL
+    return min(
+        ((k, x) for k, x in zip(cand, dists) if x <= cut),
         key=lambda pair: (len(seqs[pair[0]]), seqs[pair[0]]),
     )
-    if d == 2 and not phase_fixed and achieved < CLOSED_FORM_MIN:
-        # Near-exact hits sit in the closed form's cancellation regime;
-        # report the achieved distance at full absolute accuracy.
-        achieved = dist(net.stack[best], u)
-    return best, achieved
 
 
 def _bounded_search(stack: np.ndarray, overlap: np.ndarray, kernel):
@@ -656,7 +676,11 @@ def _levels(u: np.ndarray, depth: int, net: Net) -> list[_Approx]:
 
 
 def sk_trace(u, cfg: SKConfig) -> list[tuple[tuple[str, ...], float]]:
-    """Approximations of u at every depth 0..cfg.depth (shared recursion)."""
+    """Approximations of u at every depth 0..cfg.depth (shared recursion).
+
+    Refinement starts only when the depth-0 distance is at most
+    GC_MAX_DIST = 0.5; past that, every depth keeps the depth-0 word.
+    """
     u = as_matrix(u)
     if u.shape[0] != 2:
         raise ValidationError("the recursion refines single-qubit targets only")

@@ -642,6 +642,7 @@ def test_bench_csv_is_deterministic_and_monotone(capsys):
 
 
 SK_SCALING_16 = Path(__file__).parent / "data" / "sk_scaling_len16.csv"
+SK_SCALING_12 = Path(__file__).parent / "data" / "sk_scaling_len12.csv"
 
 
 def test_bench_matches_recorded_table_at_length_16(capsys):
@@ -649,6 +650,14 @@ def test_bench_matches_recorded_table_at_length_16(capsys):
     argv = ["bench", "--sk-scaling", "--targets", "5", "--max-depth", "3", "--max-len", "16"]
     assert main(argv) == 0
     assert capsys.readouterr().out.encode() == SK_SCALING_16.read_bytes()
+
+
+def test_bench_matches_recorded_table_at_length_12(capsys):
+    # The net length sk_1q refines with; recorded before the search scored
+    # its survivors on Python scalars.
+    argv = ["bench", "--sk-scaling", "--targets", "5", "--max-depth", "3", "--max-len", "12"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == SK_SCALING_12.read_bytes()
 
 
 def test_bench_requires_mode_flag(capsys):

@@ -447,7 +447,7 @@ def test_quaternion_filter_matches_exhaustive_closed_form_bitwise(length, demo12
         got, got_achieved = _nearest(net, u)
         assert (got, got_achieved.hex()) == (want, achieved.hex())
         # Every entry in the tie band survives the filter.
-        assert set(ties.tolist()) <= set(_su2_candidates(net, u).tolist())
+        assert set(ties.tolist()) <= set(_su2_candidates(net, u.tolist()).tolist())
         if pair is not None and set(pair) <= set(ties.tolist()):
             midpoint_ties += 1
     # The constructed ties really are ties.
@@ -471,7 +471,7 @@ def test_quaternion_filter_keeps_ties_off_su2_form(demo12):
         off = su2_matrix(q) + np.array([[x, y], [y.conjugate(), -x.conjugate()]])
         u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * off
         best, _, ties = closed_form_nearest(demo12, u)
-        kept = _su2_candidates(demo12, u)
+        kept = _su2_candidates(demo12, u.tolist())
         assert set(ties.tolist()) <= set(kept.tolist())
         reordered += best != int(np.argmax(np.abs(demo12.quaternions[0] @ q)))
     assert reordered >= 10
@@ -487,6 +487,61 @@ def test_quaternion_filter_keeps_ties_off_su2_form(demo12):
         assert (got, got_achieved.hex()) == (want, achieved.hex())
         reordered += want != int(np.argmax(np.abs(off_net.quaternions[0] @ q)))
     assert reordered >= 10
+
+
+def array_scorer_nearest(net, u):
+    """(index, distance, survivors) of the phase-free 2x2 search with the
+    filter's survivors scored on arrays: the closed form as it stood
+    before it moved to Python scalars."""
+    cand = _su2_candidates(net, u.tolist())
+    traces = np.einsum("nij,ij->n", net.stack[cand], np.conj(u))
+    absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
+    folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack[cand] * absdet_u)))
+    dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
+    ties = np.flatnonzero(dists <= dists.min() + 1e-12)
+    best, achieved = min(
+        zip(cand[ties].tolist(), dists[ties].tolist()),
+        key=lambda pair: (len(net.seqs[pair[0]]), net.seqs[pair[0]]),
+    )
+    if achieved < CLOSED_FORM_MIN:
+        achieved = dist(net.stack[best], u)
+    return best, achieved, cand[np.argsort(dists, kind="stable")]
+
+
+@pytest.mark.parametrize("length", [12, 16])
+def test_scalar_scorer_matches_array_closed_form_bitwise(length, demo12):
+    # Haar targets, near-identity rotations, entries times a phase (the
+    # CLOSED_FORM_MIN fallback), geodesic midpoints (several survivors,
+    # settled by the tie rule) and a sample of these moved off SU(2) form.
+    net = demo12 if length == 12 else build_net(demo_1q_gate_set(), 16)
+    rng = np.random.default_rng(2000 + length)
+    fallback = several = by_rule = 0
+    for u, _ in filter_targets(net, rng):
+        want, achieved, by_dist = array_scorer_nearest(net, u)
+        got, got_achieved = _nearest(net, u)
+        assert (got, got_achieved.hex()) == (want, achieved.hex())
+        fallback += achieved < CLOSED_FORM_MIN
+        several += len(by_dist) > 1
+        by_rule += want != by_dist[0]
+    assert fallback >= 40 and several >= 40 and by_rule >= 10
+
+
+def test_phase_free_two_by_two_search_makes_no_einsum_call(monkeypatch, demo12):
+    calls = []
+    einsum = np.einsum
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    u = haar_unitary(2, np.random.default_rng(5))
+    _nearest(demo12, u)
+    _nearest(demo12, np.exp(0.4j) * demo12.stack[100])
+    assert calls == []
+    # The phase-fixed search still goes through it, so the probe is live.
+    _nearest(demo12, u, phase_fixed=True)
+    assert calls == ["nij,ij->n"]
 
 
 def test_two_by_two_tables_refuse_other_dimensions():
