@@ -43,7 +43,6 @@ from .sk import (
 )
 from .verify import (
     EquivalenceReport,
-    StateVector,
     check_exact,
     check_measurement_stats,
     check_realified,
@@ -66,7 +65,6 @@ __all__ = [
     "Net",
     "NetEntry",
     "SKConfig",
-    "StateVector",
     "ValidationError",
     "build_net",
     "check_exact",

@@ -203,10 +203,10 @@ def cmd_simulate(args) -> int:
         raise ValidationError(
             f"--input must be a {c.n_qubits}-bit string of 0s and 1s, got {bits!r}"
         )
-    state = verify.run(c, index, max_qubits=_cap())
+    amps = verify.run(c, index, max_qubits=_cap())
     n = c.n_qubits
     out = []
-    for i, amp in enumerate(state.amplitudes):
+    for i, amp in enumerate(amps):
         # Adding 0.0 turns -0.0, whose sign depends on the BLAS kernel and
         # the simulator route, into 0.0.
         re, im = amp.real + 0.0, amp.imag + 0.0
@@ -229,7 +229,7 @@ def cmd_bench(args) -> int:
     else:
         net = sk.build_net(BUILTIN_GATE_SETS["ht"](), args.max_len)
     rng = np.random.default_rng(args.seed)
-    cfg = sk.SKConfig(net=net, eps=1e-12, depth=args.max_depth)
+    cfg = sk.SKConfig(net=net, depth=args.max_depth)
     rows = ["target,depth,achieved,seq_len\n"]
     for t in range(args.targets):
         u = haar_unitary(2, rng)

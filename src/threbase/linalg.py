@@ -23,7 +23,8 @@ import numpy as np
 from .errors import ValidationError
 
 ATOL = 1e-10
-# Unitarity tolerance of `dist`.  Loose enough for long products of gates
+# Unitarity tolerance of `dist`, and the norm bound on every state the
+# simulator in `verify` computes.  Loose enough for long products of gates
 # validated at ATOL; tight enough that the eigenphase formula, which says
 # nothing about the norm of a non-unitary matrix, is never applied to one.
 UNITARY_TOL = 1e-6

@@ -247,7 +247,7 @@ def test_simulator_agrees_with_matrix_oracle_on_corpus(corpus, acceptance_log):
     for c in corpus:
         u = circuit_unitary(c)
         for i in range(2**c.n_qubits):
-            got = run(c, i).amplitudes
+            got = run(c, i)
             worst = max(worst, float(np.max(np.abs(got - u[:, i]))))
     elapsed = time.perf_counter() - t0
     assert worst <= 1e-10

@@ -531,6 +531,24 @@ def test_transpile_refuses_boolean_qubit_count(capsys, tmp_path):
     assert not out.exists()
 
 
+def test_ten_digit_hadamards_pass_every_check(capsys, tmp_path):
+    # Six Hadamards written to ten digits are the identity up to a norm
+    # drift of 1.1e-10: past the gates' own 1e-10 but well within the
+    # UNITARY_TOL that the exact check and the simulator both apply.
+    r = 0.7071067812
+    h = Gate(GateKind.GENERIC, (0,), np.array([[r, r], [r, -r]]))
+    six = write_circuit(tmp_path / "h6.json", Circuit(1, [h] * 6))
+    flagged = write_circuit(tmp_path / "h6_flag.json", Circuit(2, [h] * 6))
+    empty = write_circuit(tmp_path / "id.json", Circuit(1, []))
+    assert main(["simulate", six, "--input", "0"]) == 0
+    assert capsys.readouterr().out.startswith("|0> 1.0000000001")
+    for mode in ("realified", "stats"):
+        assert main(["verify", six, flagged, "--mode", mode]) == 0
+        assert "passed: yes\n" in capsys.readouterr().out
+    assert main(["verify", six, empty, "--mode", "exact"]) == 0
+    assert "passed: yes\n" in capsys.readouterr().out
+
+
 def test_verify_modes_and_exit_codes(capsys, tmp_path, kitaev_file):
     out_path = tmp_path / "real.json"
     main(["transpile", kitaev_file, "--to", "th", "-o", str(out_path)])
