@@ -17,6 +17,8 @@ then.
 TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
 12).  verify --mode realified and --mode stats apply it to the realified
 circuit, so the largest original they accept is one qubit under the cap.
+
+Every printed float goes through io.fmt_float: %.17g with -0 folded to 0.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import argparse
 import os
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 
@@ -76,20 +79,18 @@ def _write(path: str | None, text: str):
         raise ValidationError(f"cannot write {path}: {e.strerror}") from None
 
 
-def _load_net(path: str, expect_qubits: int | None = None) -> sk.Net:
+def _net(path: str | None, n_qubits: int, gateset: str, max_len: int) -> sk.Net:
+    """The net cache at path, which must be over n_qubits qubits, or else
+    the built-in gateset's net built at max_len."""
+    if not path:
+        return sk.build_net(BUILTIN_GATE_SETS[gateset](), max_len)
     net = tio.parse_net(_read(path))
-    if expect_qubits is not None and net.gateset.n_qubits != expect_qubits:
+    if net.gateset.n_qubits != n_qubits:
         raise ValidationError(
             f"net {path} is over a {net.gateset.n_qubits}-qubit gate set, "
-            f"need {expect_qubits}"
+            f"need {n_qubits}"
         )
     return net
-
-
-def _kitaev_net(args) -> sk.Net:
-    if args.net:
-        return _load_net(args.net, expect_qubits=2)
-    return sk.build_net(BUILTIN_GATE_SETS["kitaev"](), 8)
 
 
 def _report_lines(pairs) -> str:
@@ -101,7 +102,7 @@ def _report_lines(pairs) -> str:
 def cmd_transpile(args) -> int:
     c = tio.parse_circuit(_read(args.input))
     th = args.to == "th"
-    net = _kitaev_net(args) if needs_net(c) else None
+    net = _net(args.net, 2, "kitaev", 8) if needs_net(c) else None
     out, error_bound = rebase_circuit(c, net, args.eps, th)
     if th:
         out, _ = realify_circuit(out)
@@ -113,15 +114,12 @@ def cmd_transpile(args) -> int:
             ("output_gates", len(out)),
             ("input_qubits", c.n_qubits),
             ("output_qubits", out.n_qubits),
-            ("error_bound", format(error_bound, ".17g")),
+            ("error_bound", tio.fmt_float(error_bound)),
         ]
     )
-    if args.output is None:
-        sys.stdout.write(text)
-        sys.stderr.write(lines)
-    else:
-        _write(args.output, text)
-        sys.stdout.write(lines)
+    _write(args.output, text)
+    # The report goes where the circuit does not.
+    (sys.stderr if args.output is None else sys.stdout).write(lines)
     return 0
 
 
@@ -130,21 +128,21 @@ def cmd_transpile(args) -> int:
 def cmd_verify(args) -> int:
     a = tio.parse_circuit(_read(args.a))
     b = tio.parse_circuit(_read(args.b))
-    cap = _cap()
-    if args.mode == "exact":
-        rep = verify.check_exact(a, b, args.tol, max_qubits=cap)
-    elif args.mode == "realified":
-        rep = verify.check_realified(a, b, args.tol, max_qubits=cap)
-    else:
-        rep = verify.check_measurement_stats(a, b, args.tol, max_qubits=cap)
+    # Built per call, so that it holds the checks bound in verify now.
+    check = {
+        "exact": verify.check_exact,
+        "realified": verify.check_realified,
+        "stats": verify.check_measurement_stats,
+    }[args.mode]
+    rep = check(a, b, args.tol, max_qubits=_cap())
     worst = "-" if rep.worst_input is None else str(rep.worst_input)
     sys.stdout.write(
         _report_lines(
             [
                 ("mode", rep.kind),
-                ("max_deviation", format(rep.max_deviation, ".17g")),
+                ("max_deviation", tio.fmt_float(rep.max_deviation)),
                 ("worst_input", worst),
-                ("tolerance", format(rep.tolerance, ".17g")),
+                ("tolerance", tio.fmt_float(rep.tolerance)),
                 ("passed", "yes" if rep.passed else "no"),
             ]
         )
@@ -172,10 +170,8 @@ def cmd_net(args) -> int:
             )
         return 0
 
-    net = _load_net(args.path)
-    by_len: dict[int, int] = {}
-    for seq in net.seqs:
-        by_len[len(seq)] = by_len.get(len(seq), 0) + 1
+    net = tio.parse_net(_read(args.path))
+    by_len = Counter(map(len, net.seqs))
     hist = " ".join(f"{l}:{by_len[l]}" for l in sorted(by_len))
     sys.stdout.write(
         _report_lines(
@@ -183,7 +179,7 @@ def cmd_net(args) -> int:
                 ("gateset", net.gateset.name),
                 ("qubits", net.gateset.n_qubits),
                 ("max_len", net.max_length),
-                ("dedupe_tol", format(net.dedupe_tol, ".17g")),
+                ("dedupe_tol", tio.fmt_float(net.dedupe_tol)),
                 ("entries", len(net)),
                 ("by_length", hist),
             ]
@@ -205,13 +201,12 @@ def cmd_simulate(args) -> int:
         )
     amps = verify.run(c, index, max_qubits=_cap())
     n = c.n_qubits
-    out = []
-    for i, amp in enumerate(amps):
-        # Adding 0.0 turns -0.0, whose sign depends on the BLAS kernel and
-        # the simulator route, into 0.0.
-        re, im = amp.real + 0.0, amp.imag + 0.0
-        out.append(f"|{i:0{n}b}> {format(re, '.17g')} {format(im, '.17g')}\n")
-    sys.stdout.write("".join(out))
+    sys.stdout.write(
+        "".join(
+            f"|{i:0{n}b}> {tio.fmt_float(amp.real)} {tio.fmt_float(amp.imag)}\n"
+            for i, amp in enumerate(amps)
+        )
+    )
     return 0
 
 
@@ -224,17 +219,14 @@ def cmd_bench(args) -> int:
         raise ValidationError(f"--targets must be >= 1, got {args.targets}")
     if args.seed < 0:
         raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-    if args.net:
-        net = _load_net(args.net, expect_qubits=1)
-    else:
-        net = sk.build_net(BUILTIN_GATE_SETS["ht"](), args.max_len)
+    net = _net(args.net, 1, "ht", args.max_len)
     rng = np.random.default_rng(args.seed)
     cfg = sk.SKConfig(net=net, depth=args.max_depth)
     rows = ["target,depth,achieved,seq_len\n"]
     for t in range(args.targets):
         u = haar_unitary(2, rng)
         for depth, (seq, achieved) in enumerate(sk.sk_trace(u, cfg)):
-            rows.append(f"{t},{depth},{format(achieved, '.17g')},{len(seq)}\n")
+            rows.append(f"{t},{depth},{tio.fmt_float(achieved)},{len(seq)}\n")
     sys.stdout.write("".join(rows))
     return 0
 
@@ -325,25 +317,16 @@ def main(argv=None) -> int:
     args = _build_parser(argv).parse_args(argv)
     try:
         return args.func(args)
-    except BudgetNotMet as e:
+    except CompileError as e:
         sys.stderr.write(f"error: {e}\n")
-        if e.achieved is not None:
-            sys.stderr.write(f"best_achieved: {format(e.achieved, '.17g')}\n")
-        return 1
-    except ValidationError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 2
-    except CapExceeded as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 3
+        if isinstance(e, BudgetNotMet) and e.achieved is not None:
+            sys.stderr.write(f"best_achieved: {tio.fmt_float(e.achieved)}\n")
+        return 2 if isinstance(e, ValidationError) else 3 if isinstance(e, CapExceeded) else 1
     except MemoryError as e:
         # numpy raises this when a raised TH_REBASE_MAX_QUBITS asks for a
         # matrix the host cannot hold.
         sys.stderr.write(f"error: out of memory: {e}\n")
         return 3
-    except CompileError as e:
-        sys.stderr.write(f"error: {e}\n")
-        return 1
 
 
 if __name__ == "__main__":

@@ -59,13 +59,17 @@ FORMAT_VERSION = 1
 NET_FORMAT_VERSION = 2
 
 
-def _fmt(x: float) -> str:
-    # -0.0 would print as "-0", which JSON reads back as integer 0; fold it.
+def fmt_float(x: float) -> str:
+    """x as %.17g, the one float format of every document and printed report.
+
+    -0.0 would print as "-0", which JSON reads back as integer 0 and whose
+    sign can depend on the BLAS kernel; it is folded into 0.
+    """
     return format(float(x) + 0.0, ".17g")
 
 
 def _fmt_matrix(m: np.ndarray) -> str:
-    pairs = ",".join(f"[{_fmt(z.real)},{_fmt(z.imag)}]" for z in m.reshape(-1))
+    pairs = ",".join(f"[{fmt_float(z.real)},{fmt_float(z.imag)}]" for z in m.reshape(-1))
     return f"[{pairs}]"
 
 
@@ -142,8 +146,8 @@ def _emit_gate(g: Gate) -> str:
 
 
 def emit_circuit(c: Circuit) -> str:
-    # Equal gates emit equal bytes (_fmt folds -0.0), so each distinct gate
-    # is formatted once.
+    # Equal gates emit equal bytes (fmt_float folds -0.0), so each distinct
+    # gate is formatted once.
     texts: dict[Gate, str] = {}
     parts = []
     for g in c.gates:
@@ -247,19 +251,21 @@ def _parse_general(text: str) -> Circuit:
 # --- net caches -----------------------------------------------------------
 
 def emit_net(net: Net) -> str:
+    gs = net.gateset
+    # Names and labels are arbitrary strings; each label is quoted once.
+    quoted = {label: json.dumps(label) for label in gs.labels}
     head = (
         f'{{"version":{NET_FORMAT_VERSION},'
-        f'"gateset":"{net.gateset.name}",'
-        f'"fingerprint":"{net.gateset.fingerprint()}",'
+        f'"gateset":{json.dumps(gs.name)},'
+        f'"fingerprint":{json.dumps(gs.fingerprint())},'
         f'"max_len":{net.max_length},'
-        f'"dedupe_tol":{_fmt(net.dedupe_tol)},'
+        f'"dedupe_tol":{fmt_float(net.dedupe_tol)},'
         f'"entries":['
     )
-    rows = []
-    for seq in net.seqs:
-        labels = ",".join(f'"{label}"' for label in seq)
-        rows.append(f'{{"seq":[{labels}]}}')
-    return head + ",".join(rows) + "]}\n"
+    rows = ",".join(
+        '{"seq":[' + ",".join(map(quoted.__getitem__, seq)) + "]}" for seq in net.seqs
+    )
+    return head + rows + "]}\n"
 
 
 def parse_net(text: str, gateset: GateSet | None = None) -> Net:

@@ -110,10 +110,10 @@ class Net:
     seqs[i] is entry i's label sequence and stack[i] its matrix; the stack
     is one read-only (N, d, d) array, held once: searches conjugate their
     target, not the stack.  A dimension-2 net also builds, on first
-    search, each entry's |det| and unit quaternion (`absdet_stack`,
-    `quaternions`).  NetEntry objects are made only on request: `entries`
-    builds them all on first read, and `nearest` makes one for its winner;
-    the search itself returns an index.
+    search, each entry's unit quaternion and |det| (`quaternions`).
+    NetEntry objects are made only on request: `entries` builds them all
+    on first read, and `nearest` makes one for its winner; the search
+    itself returns an index.
     """
 
     def __init__(
@@ -151,30 +151,25 @@ class Net:
         return tuple(map(NetEntry, self.seqs, self.stack))
 
     @cached_property
-    def absdet_stack(self) -> np.ndarray:
-        """|det e| of every entry, for the closed form of the 2x2 search."""
-        s = self._stack_2x2("absdet_stack")
-        return np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
+    def quaternions(self) -> tuple[np.ndarray, float, np.ndarray]:
+        """(table, form, absdet): the 2x2 search's tables over the entries.
 
-    @cached_property
-    def quaternions(self) -> tuple[np.ndarray, float]:
-        """(table, form): the 2x2 search's filter over the entries.
-
-        table is the read-only (N, 4) array of each entry's unit quaternion
-        and form the largest distance of an entry from its quaternion's
-        SU(2) matrix, both as _su2_form defines them.
+        table is the read-only (N, 4) array of each entry's unit quaternion,
+        form the largest distance of an entry from its quaternion's SU(2)
+        matrix and absdet the read-only array of each entry's |det|, all as
+        _su2_form defines them.
         """
-        s = self._stack_2x2("quaternions")
-        q, form = _su2_form(s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1], np.sqrt)
+        if self.dim != 2:
+            raise ValidationError(
+                f"quaternions is defined on dimension-2 nets only, not {self.dim}"
+            )
+        s = self.stack
+        q, form, absdet = _su2_form(s[:, 0, 0], s[:, 0, 1], s[:, 1, 0], s[:, 1, 1], np.sqrt)
         # Column-major: numpy's matrix-vector product reads it faster.
         table = np.stack(q).T
         table.flags.writeable = False
-        return table, float(form.max(initial=0.0))
-
-    def _stack_2x2(self, what: str) -> np.ndarray:
-        if self.dim != 2:
-            raise ValidationError(f"{what} is defined on dimension-2 nets only, not {self.dim}")
-        return self.stack
+        absdet.flags.writeable = False
+        return table, float(form.max(initial=0.0)), absdet
 
 
 def build_net(
@@ -377,7 +372,8 @@ _FOLD_SLACK = 2.0 * _TIE_TOL + 1e-13
 
 
 def _su2_form(m00, m01, m10, m11, sqrt):
-    """Unit quaternion of m / sqrt(det m), and that matrix's distance from it.
+    """Unit quaternion of m / sqrt(det m), that matrix's distance from it,
+    and |det m|.
 
     m / sqrt(det m) = [[a, b], [-b*, a*]] + [[x, y], [y*, -x*]]: an SU(2)
     form part with quaternion q = (Re a, Im a, Re b, Im b), and a part
@@ -386,7 +382,8 @@ def _su2_form(m00, m01, m10, m11, sqrt):
     which is sqrt(|x|^2 + |y|^2 + (|q| - 1)^2).  The entries may be Python
     complex numbers, with sqrt = cmath.sqrt, or numpy arrays, with np.sqrt.
     """
-    c = sqrt(m00 * m11 - m01 * m10)
+    det = m00 * m11 - m01 * m10
+    c = sqrt(det)
     n00, n01, n10, n11 = m00 / c, m01 / c, m10 / c, m11 / c
     a = (n00 + n11.conjugate()) / 2
     b = (n01 - n10.conjugate()) / 2
@@ -394,12 +391,12 @@ def _su2_form(m00, m01, m10, m11, sqrt):
     y = (n01 + n10.conjugate()) / 2
     norm = (abs(a) ** 2 + abs(b) ** 2) ** 0.5
     form = (abs(x) ** 2 + abs(y) ** 2 + (norm - 1.0) ** 2) ** 0.5
-    return (a.real / norm, a.imag / norm, b.real / norm, b.imag / norm), form
+    return (a.real / norm, a.imag / norm, b.real / norm, b.imag / norm), form, abs(det)
 
 
-def _su2_candidates(net: Net, rows: list) -> np.ndarray:
+def _su2_candidates(net: Net, rows: list) -> tuple[np.ndarray, float]:
     """Indices of the entries that can be nearest to a 2x2 unitary u by dist,
-    given as its rows u.tolist().
+    given as its rows u.tolist(), and |det u|.
 
     The closed form's folded overlap |tr(u^dag e)| / (2 sqrt(|det u det e|))
     is |<M, E>| / 2 for M = u / sqrt(det u) and E = e / sqrt(det e), and
@@ -411,12 +408,12 @@ def _su2_candidates(net: Net, rows: list) -> np.ndarray:
     the tie band of the nearest therefore has a quaternion overlap within
     _FOLD_SLACK + 2 delta of the largest, and those entries are kept.
     """
-    table, f_net = net.quaternions
+    table, f_net, _ = net.quaternions
     (u00, u01), (u10, u11) = rows
-    q, f_u = _su2_form(u00, u01, u10, u11, cmath.sqrt)
+    q, f_u, absdet_u = _su2_form(u00, u01, u10, u11, cmath.sqrt)
     overlap = np.abs(table @ q)
     slack = _FOLD_SLACK + 2.0 * (f_u * (1.0 + f_net) + f_net)
-    return (overlap >= overlap.max() - slack).nonzero()[0]
+    return (overlap >= overlap.max() - slack).nonzero()[0], absdet_u
 
 
 def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, float]:
@@ -443,7 +440,7 @@ def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, f
     stack = net.stack
     if net.dim == 2 and not phase_fixed:
         rows = u.tolist()
-        cand = _su2_candidates(net, rows)
+        cand, absdet_u = _su2_candidates(net, rows)
         # Same closed form as dist() on unitary 2x2 pairs, on the filter's
         # candidates: the overlap and |det| give the folded eigenphase gap.
         (u00, u01), (u10, u11) = rows
@@ -452,10 +449,9 @@ def _nearest(net: Net, u: np.ndarray, phase_fixed: bool = False) -> tuple[int, f
             e00 * c00 + e01 * c01 + e10 * c10 + e11 * c11
             for (e00, e01), (e10, e11) in stack[cand].tolist()
         ]
-        absdet_u = abs(u00 * u11 - u01 * u10)
         dists = [
             math.sqrt(max(0.0, 2.0 - 2.0 * min(1.0, t / (2.0 * math.sqrt(a * absdet_u)))))
-            for t, a in zip(np.abs(traces).tolist(), net.absdet_stack[cand].tolist())
+            for t, a in zip(np.abs(traces).tolist(), net.quaternions[2][cand].tolist())
         ]
         best, achieved = _tie_break(seqs, cand.tolist(), dists)
         if achieved < CLOSED_FORM_MIN:

@@ -573,6 +573,14 @@ def test_verify_modes_and_exit_codes(capsys, tmp_path, kitaev_file):
     assert format(np.sqrt(2 - np.sqrt(2)), ".17g") in out
 
 
+def test_verify_prints_a_negative_zero_tolerance_as_zero(capsys, kitaev_file):
+    # -0 passes the tol >= 0 check, and every printed float folds -0 into 0.
+    assert main(["verify", kitaev_file, kitaev_file, "--tol", "-0"]) == 0
+    assert capsys.readouterr().out == (
+        "mode: exact-unitary\nmax_deviation: 0\nworst_input: -\ntolerance: 0\npassed: yes\n"
+    )
+
+
 @pytest.mark.parametrize("mode", ["exact", "realified", "stats"])
 @pytest.mark.parametrize("tol", ["nan", "-1"])
 def test_verify_refuses_bad_tolerance(capsys, tmp_path, kitaev_file, mode, tol):

@@ -9,6 +9,7 @@ from threbase import (
     Circuit,
     Gate,
     GateKind,
+    GateSet,
     SKConfig,
     build_net,
     demo_1q_gate_set,
@@ -168,6 +169,22 @@ def test_net_roundtrip_preserves_entries():
         for a, b in zip(net.entries, back.entries)
     )
     assert worst < 1e-15
+    assert emit_net(back) == emit_net(net)
+
+
+def test_net_roundtrip_escapes_names_and_labels():
+    demo = demo_1q_gate_set()
+    gs = GateSet(
+        name='my"set\\',
+        n_qubits=1,
+        generators=tuple((f'{label}"\\', g) for label, g in demo.generators),
+    )
+    net = build_net(gs, 4)
+    text = emit_net(net)
+    assert json.loads(text)["gateset"] == 'my"set\\'
+    back = parse_net(text, gs)
+    assert back.seqs == net.seqs and len(back) > len(gs.labels)
+    assert np.array_equal(back.stack, net.stack)
     assert emit_net(back) == emit_net(net)
 
 

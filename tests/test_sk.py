@@ -447,7 +447,7 @@ def test_quaternion_filter_matches_exhaustive_closed_form_bitwise(length, demo12
         got, got_achieved = _nearest(net, u)
         assert (got, got_achieved.hex()) == (want, achieved.hex())
         # Every entry in the tie band survives the filter.
-        assert set(ties.tolist()) <= set(_su2_candidates(net, u.tolist()).tolist())
+        assert set(ties.tolist()) <= set(_su2_candidates(net, u.tolist())[0].tolist())
         if pair is not None and set(pair) <= set(ties.tolist()):
             midpoint_ties += 1
     # The constructed ties really are ties.
@@ -471,7 +471,7 @@ def test_quaternion_filter_keeps_ties_off_su2_form(demo12):
         off = su2_matrix(q) + np.array([[x, y], [y.conjugate(), -x.conjugate()]])
         u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * off
         best, _, ties = closed_form_nearest(demo12, u)
-        kept = _su2_candidates(demo12, u.tolist())
+        kept, _ = _su2_candidates(demo12, u.tolist())
         assert set(ties.tolist()) <= set(kept.tolist())
         reordered += best != int(np.argmax(np.abs(demo12.quaternions[0] @ q)))
     assert reordered >= 10
@@ -493,10 +493,10 @@ def array_scorer_nearest(net, u):
     """(index, distance, survivors) of the phase-free 2x2 search with the
     filter's survivors scored on arrays: the closed form as it stood
     before it moved to Python scalars."""
-    cand = _su2_candidates(net, u.tolist())
+    cand, _ = _su2_candidates(net, u.tolist())
     traces = np.einsum("nij,ij->n", net.stack[cand], np.conj(u))
     absdet_u = abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0])
-    folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(net.absdet_stack[cand] * absdet_u)))
+    folded = np.minimum(1.0, np.abs(traces) / (2.0 * np.sqrt(net.quaternions[2][cand] * absdet_u)))
     dists = np.sqrt(np.maximum(0.0, 2.0 - 2.0 * folded))
     ties = np.flatnonzero(dists <= dists.min() + 1e-12)
     best, achieved = min(
@@ -546,15 +546,18 @@ def test_phase_free_two_by_two_search_makes_no_einsum_call(monkeypatch, demo12):
 
 def test_two_by_two_tables_refuse_other_dimensions():
     net = build_net(kitaev_gate_set(), 2)
-    for name in ("absdet_stack", "quaternions"):
-        want = f"^{name} is defined on dimension-2 nets only, not 4$"
-        with pytest.raises(ValidationError, match=want):
-            getattr(net, name)
+    want = "^quaternions is defined on dimension-2 nets only, not 4$"
+    with pytest.raises(ValidationError, match=want):
+        net.quaternions
 
 
 def test_quaternion_table_is_read_only_and_unit(demo12):
-    table, form = demo12.quaternions
+    table, form, absdet = demo12.quaternions
     assert table.shape == (len(demo12), 4) and not table.flags.writeable
+    assert absdet.shape == (len(demo12),) and not absdet.flags.writeable
+    # The |det| the closed form has always read, bit for bit.
+    s = demo12.stack
+    assert np.array_equal(absdet, np.abs(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]))
     assert np.allclose(np.linalg.norm(table, axis=1), 1.0, atol=1e-15)
     assert 0.0 <= form < 1e-14
     # Each entry equals its quaternion's SU(2) matrix up to a global phase.
