@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import re
+import stat
 import sys
 from collections import Counter
 
@@ -68,13 +69,28 @@ def _read(path: str) -> str:
         raise ValidationError(f"cannot read {path}: not UTF-8 text") from None
 
 
+def _open_in_place(path: str, flags: int) -> int:
+    # Every flag open("w") chose but O_TRUNC: truncating a file to zero
+    # before rewriting it costs more than the write on some filesystems
+    # (ext4 among them).
+    return os.open(path, flags & ~os.O_TRUNC, 0o666)
+
+
 def _write(path: str | None, text: str):
+    """Write text to stdout, or over the file at path in place.
+
+    The file keeps its inode, permissions and, through a symlink, the
+    link; a regular file is then cut to the length written.  Pipes and
+    devices are written and not cut, since they cannot be.
+    """
     if path is None:
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as f:
+        with open(path, "w", encoding="utf-8", opener=_open_in_place) as f:
             f.write(text)
+            if stat.S_ISREG(os.fstat(f.fileno()).st_mode):
+                f.truncate()
     except OSError as e:
         raise ValidationError(f"cannot write {path}: {e.strerror}") from None
 
@@ -82,7 +98,7 @@ def _write(path: str | None, text: str):
 def _net(path: str | None, n_qubits: int, gateset: str, max_len: int) -> sk.Net:
     """The net cache at path, which must be over n_qubits qubits, or else
     the built-in gateset's net built at max_len."""
-    if not path:
+    if path is None:
         return sk.build_net(BUILTIN_GATE_SETS[gateset](), max_len)
     net = tio.parse_net(_read(path))
     if net.gateset.n_qubits != n_qubits:

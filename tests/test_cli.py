@@ -1,4 +1,8 @@
+import errno
 import json
+import os
+import stat
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -77,6 +81,160 @@ def test_unwritable_output_is_usage_error(capsys, tmp_path, kitaev_file):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: cannot write {out}: ")
     assert captured.err.count("\n") == 1
+    assert captured.out == ""
+
+
+@pytest.fixture(params=["transpile", "net build"])
+def fresh(request, capsys, tmp_path, kitaev_file):
+    """(argv of a command that writes a file with -o, the bytes it writes
+    to a new path)."""
+    argv = {
+        "transpile": ["transpile", kitaev_file, "--to", "th"],
+        "net build": ["net", "build", "--set", "kitaev", "--max-len", "2"],
+    }[request.param]
+    path = tmp_path / "fresh.out"
+    assert main(argv + ["-o", str(path)]) == 0
+    capsys.readouterr()
+    return argv, path.read_bytes()
+
+
+def test_output_to_a_new_file_is_what_stdout_gets(capsys, fresh):
+    argv, data = fresh
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == data
+
+
+@pytest.mark.parametrize("old", ["empty", "shorter", "same length", "longer"])
+def test_output_over_an_existing_file_is_a_fresh_write(capsys, tmp_path, fresh, old):
+    argv, data = fresh
+    size = {"empty": 0, "shorter": len(data) // 2, "same length": len(data), "longer": 3 * len(data)}
+    target = tmp_path / "old.out"
+    target.write_bytes(b"x" * size[old])
+    assert main(argv + ["-o", str(target)]) == 0
+    assert target.read_bytes() == data
+
+
+def test_output_over_an_existing_file_keeps_its_inode_and_mode(capsys, tmp_path, fresh):
+    argv, data = fresh
+    target = tmp_path / "old.out"
+    target.write_bytes(b"x" * (3 * len(data)))
+    target.chmod(0o640)
+    before = target.stat()
+    assert main(argv + ["-o", str(target)]) == 0
+    after = target.stat()
+    assert (after.st_ino, stat.S_IMODE(after.st_mode)) == (before.st_ino, 0o640)
+    assert target.read_bytes() == data
+
+
+def test_output_is_not_truncated_to_zero_first(capsys, monkeypatch, tmp_path, fresh):
+    # Truncating to zero and then writing costs several times what writing
+    # in place and cutting the file to length does on ext4.
+    argv, data = fresh
+    target = tmp_path / "old.out"
+    target.write_bytes(b"x" * (3 * len(data)))
+    flags = []
+    real_open = os.open
+
+    def recording(path, fl, *args, **kwargs):
+        if os.fspath(path) == str(target):
+            flags.append(fl)
+        return real_open(path, fl, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", recording)
+    assert main(argv + ["-o", str(target)]) == 0
+    assert len(flags) == 1 and not flags[0] & os.O_TRUNC
+    assert target.read_bytes() == data
+
+
+def test_output_through_a_symlink_rewrites_its_target(capsys, tmp_path, fresh):
+    argv, data = fresh
+    real = tmp_path / "real.out"
+    real.write_bytes(b"x" * (3 * len(data)))
+    link = tmp_path / "link.out"
+    link.symlink_to(real)
+    assert main(argv + ["-o", str(link)]) == 0
+    assert link.is_symlink() and os.readlink(link) == str(real)
+    assert real.read_bytes() == data
+
+
+@pytest.mark.parametrize("to", ["th", "kitaev"])
+def test_transpile_output_over_its_own_input(capsys, tmp_path, kitaev_file, to):
+    # Indented, the input is longer than the canonical kitaev output; as
+    # written, it is shorter than the realified th output.
+    src = tmp_path / "self.json"
+    indent = 2 if to == "kitaev" else None
+    src.write_text(json.dumps(json.loads(Path(kitaev_file).read_text()), indent=indent))
+    fresh_path = tmp_path / "fresh.json"
+    assert main(["transpile", str(src), "--to", to, "-o", str(fresh_path)]) == 0
+    assert (src.stat().st_size > fresh_path.stat().st_size) == (to == "kitaev")
+    assert main(["transpile", str(src), "--to", to, "-o", str(src)]) == 0
+    assert src.read_bytes() == fresh_path.read_bytes()
+
+
+def test_output_to_dev_null_exits_0(capsys, fresh):
+    argv, _ = fresh
+    assert main(argv + ["-o", os.devnull]) == 0
+
+
+@pytest.mark.parametrize("kind", ["fifo", "pipe"])
+def test_output_to_a_fifo_or_pipe_is_a_fresh_write(capsys, tmp_path, fresh, kind):
+    # A pipe cannot be cut to length: the writer must not try.
+    argv, data = fresh
+    if kind == "fifo":
+        target = tmp_path / "fifo"
+        os.mkfifo(target)
+        reader = None
+    else:
+        reader, writer = os.pipe()
+        target = f"/dev/fd/{writer}"
+    got = []
+
+    def drain():
+        with open(target if reader is None else reader, "rb") as f:
+            got.append(f.read())
+
+    thread = threading.Thread(target=drain, daemon=True)
+    thread.start()
+    code = main(argv + ["-o", str(target)])
+    if reader is not None:
+        os.close(writer)
+    thread.join(timeout=60)
+    assert code == 0
+    assert not thread.is_alive()
+    assert got == [data]
+
+
+@pytest.mark.parametrize("kind", ["directory", "read-only file"])
+def test_output_that_cannot_be_opened_exits_2(capsys, tmp_path, fresh, kind):
+    argv, data = fresh
+    if kind == "directory":
+        target, err = tmp_path, errno.EISDIR
+    else:
+        if os.geteuid() == 0:
+            pytest.skip("root writes read-only files")
+        target, err = tmp_path / "ro.out", errno.EACCES
+        target.write_bytes(b"x" * (3 * len(data)))
+        target.chmod(0o444)
+    assert main(argv + ["-o", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {target}: {os.strerror(err)}\n"
+    assert captured.out == ""
+    if kind != "directory":
+        assert target.read_bytes() == b"x" * (3 * len(data))
+
+
+@pytest.mark.parametrize("command", ["transpile", "bench"])
+def test_empty_net_path_is_a_missing_file(capsys, tmp_path, command):
+    # --net "" names no file; it is not the same as leaving --net out.
+    u = haar_unitary(4, np.random.default_rng(2))
+    f = write_circuit(tmp_path / "u.json", Circuit(2, [Gate(GateKind.GENERIC, (0, 1), u)]))
+    argv = {
+        "transpile": ["transpile", f, "--to", "kitaev", "--eps", "2", "--net", ""],
+        "bench": ["bench", "--sk-scaling", "--targets", "1", "--max-depth", "0", "--net", ""],
+    }[command]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot read : {os.strerror(errno.ENOENT)}\n"
     assert captured.out == ""
 
 
