@@ -19,11 +19,17 @@ TH_REBASE_MAX_QUBITS overrides the dense-simulation qubit cap (default
 circuit, so the largest original they accept is one qubit under the cap.
 
 Every printed float goes through io.fmt_float: %.17g with -0 folded to 0.
+
+main(argv) can be called in-process any number of times and returns the
+exit code; --help and argparse usage errors raise SystemExit (0 and 2), as
+argparse does.  The parser is built once per process; TH_REBASE_MAX_QUBITS
+and COLUMNS (help wrapping) are read at each call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import stat
@@ -255,7 +261,6 @@ def _add_transpile(t):
     t.add_argument("--eps", type=float, default=1e-2, help="approximation budget")
     t.add_argument("--net", help="two-qubit net cache for approximations")
     t.add_argument("-o", "--output", help="output circuit file (default stdout)")
-    t.set_defaults(func=cmd_transpile)
 
 
 def _add_verify(v):
@@ -263,7 +268,6 @@ def _add_verify(v):
     v.add_argument("b")
     v.add_argument("--mode", choices=("exact", "realified", "stats"), default="exact")
     v.add_argument("--tol", type=float, default=verify.DEFAULT_TOL)
-    v.set_defaults(func=cmd_verify)
 
 
 def _add_net(n):
@@ -275,13 +279,11 @@ def _add_net(n):
     nb.add_argument("-o", "--output", help="cache file (default stdout)")
     ni = nsub.add_parser("inspect")
     ni.add_argument("path")
-    n.set_defaults(func=cmd_net)
 
 
 def _add_simulate(s):
     s.add_argument("input", help="circuit JSON file")
     s.add_argument("--input", dest="input_state", required=True, metavar="BITS")
-    s.set_defaults(func=cmd_simulate)
 
 
 def _add_bench(b):
@@ -291,7 +293,6 @@ def _add_bench(b):
     b.add_argument("--seed", type=int, default=0)
     b.add_argument("--net", help="single-qubit net cache")
     b.add_argument("--max-len", type=int, default=12, help="net length when building")
-    b.set_defaults(func=cmd_bench)
 
 
 # (name, help, add-arguments function) of every subcommand, in usage order.
@@ -304,35 +305,24 @@ _COMMANDS = (
 )
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
-    """The parser for argv: only argv[0]'s subparser when it names one.
-
-    Building a subparser costs more than parsing, so a call builds the one
-    it uses.  Help and an unknown or missing command build all of them, so
-    that their output lists every subcommand.
-    """
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="threbase",
         description="Rebase quantum circuits onto {Toffoli, Hadamard}.",
     )
-    chosen = [c for c in _COMMANDS if argv and c[0] == argv[0]]
-    if chosen:
-        # The usage line of an error still names every subcommand.
-        names = "{" + ",".join(c[0] for c in _COMMANDS) + "}"
-        sub = p.add_subparsers(dest="command", required=True, metavar=names)
-    else:
-        sub = p.add_subparsers(dest="command", required=True)
-        chosen = _COMMANDS
-    for name, help_text, add_arguments in chosen:
+    sub = p.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in _COMMANDS:
         add_arguments(sub.add_parser(name, help=help_text))
     return p
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.func(args)
+        # Looked up at each call, so that a cmd_* patched after the parser
+        # was built (as perfbench's span tracer does) is the one run.
+        return globals()["cmd_" + args.command](args)
     except CompileError as e:
         sys.stderr.write(f"error: {e}\n")
         if isinstance(e, BudgetNotMet) and e.achieved is not None:

@@ -606,12 +606,12 @@ def argparse_call(call, argv):
 
 
 def test_parser_output_matches_the_full_parser(monkeypatch):
-    # A call that names a subcommand builds only that subparser.  Help,
-    # usage errors and unknown or missing commands must still print what
-    # the parser with every subcommand prints.  The recorded bytes come
-    # from the code before the parser was split, and argparse's wording
-    # differs between Python versions, so they are compared on the version
-    # that recorded them; the full parser is the reference on every version.
+    # One parser, built once and reused by every call, must print the
+    # recorded bytes for help, usage errors and unknown or missing
+    # commands, whatever calls came before.  argparse's wording differs
+    # between Python versions, so the recorded bytes are compared on the
+    # version that recorded them; the parser itself is the reference on
+    # every version.
     import sys
 
     from threbase import cli
@@ -623,9 +623,66 @@ def test_parser_output_matches_the_full_parser(monkeypatch):
     for case in recorded["cases"]:
         argv = case["argv"]
         got = argparse_call(main, argv)
-        assert got == argparse_call(lambda a: cli._build_parser([]).parse_args(a), argv)
+        assert got == argparse_call(cli._parser().parse_args, argv)
         if same_python:
             assert got == (case["code"], case["stdout"], case["stderr"]), argv
+
+
+def test_dispatch_reads_the_command_binding_at_call_time(monkeypatch, capsys, h_file):
+    # perfbench's span tracer patches cli.cmd_verify after the parser
+    # exists and restores it later; each call must run the binding of that
+    # moment.
+    from threbase import cli
+
+    assert main(["verify", h_file, h_file]) == 0
+    capsys.readouterr()
+    calls = []
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_verify", lambda args: calls.append(args.a) or 7)
+        assert main(["verify", h_file, h_file]) == 7
+    assert calls == [h_file]
+    assert capsys.readouterr().out == ""
+    assert main(["verify", h_file, h_file]) == 0
+    assert capsys.readouterr().out.endswith("passed: yes\n")
+    assert calls == [h_file]
+
+
+def test_cached_parser_carries_nothing_between_calls(monkeypatch, capsys, tmp_path, h_file):
+    from threbase import cli
+
+    realified = tmp_path / "h_th.json"
+    assert main(["transpile", h_file, "--to", "th", "-o", str(realified)]) == 0
+    out = tmp_path / "out.json"
+
+    def call(argv, columns):
+        """(exit code, stdout, stderr, bytes of -o file) of one main call."""
+        monkeypatch.setenv("COLUMNS", columns)
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err, out.read_bytes() if out.exists() else None
+
+    # Pairs of calls, each (argv, COLUMNS), run in turn on one parser.
+    sequences = [
+        [(["transpile", h_file, "--to", "th", "-o", str(out)], "80"),
+         (["transpile", h_file, "--to", "th"], "80")],
+        [(["verify", h_file, str(realified), "--mode", "realified", "--tol", "1e-3"], "80"),
+         (["verify", h_file, h_file], "80")],
+        [(["net", "build", "--set", "ht", "--max-len", "3", "--dedupe", "0.05"], "80"),
+         (["net", "build", "--set", "ht", "--max-len", "3"], "80")],
+        [(["transpile", "--help"], "80"), (["transpile", "--help"], "40")],
+    ]
+    for seq in sequences:
+        cli._parser.cache_clear()
+        in_turn = [call(*c) for c in seq]
+        assert in_turn[0] != in_turn[1], seq
+        for c, got in zip(seq, in_turn):
+            cli._parser.cache_clear()
+            assert got == call(*c), c
 
 
 @pytest.mark.parametrize("eps", ["0", "-1", "nan"])
