@@ -21,9 +21,8 @@ word is one), or adjacent groups merged while their joint support stays
 within two qubits and every two-qubit gate among them has the same operand
 order, the run's frame (an exact {H, CS} word of a one-qubit gate is one
 run).  A gate on one qubit of the frame is multiplied as its 4x4
-embedding in the frame, built once per call; the embedding's exact zeros
-add nothing, and the tests check the result against the per-gate loop
-bit for bit.
+embedding in the frame; the embedding's exact zeros add nothing, and the
+tests check the result against the per-gate loop bit for bit.
 
 A long run, of LONG_RUN = 16 gates or more, is multiplied out once per
 call, before the blocks, and its one matrix is applied through the same
@@ -37,6 +36,16 @@ contract is: a circuit whose runs are all shorter than LONG_RUN gives
 the per-gate loop's bytes, and a long run's result is within 1e-13 of
 it, entry by entry.  Below LONG_RUN the stack's fixed cost loses to a
 few small matmuls.
+
+Embeddings are built by one function, `_embedded`.  A named gate's is
+kept in one table, `_EMBEDDED`, keyed by (kind, operands, width): built
+once per process and read-only.  A GENERIC gate's is built once per call,
+in the caller's memo, and never enters the table, which therefore stays
+bounded.  The frame embeddings above read it, and so does dense_unitary,
+the product embed(g_t) @ ... @ embed(g_1) multiplied in turn, which
+verify.check_exact uses at 2-4 qubits, where the gathers' per-run and
+per-call costs exceed the arithmetic they save.  Its result is within
+1e-14 of circuit_unitary's, entry by entry.
 
 A Circuit's width is an integer, by the rule for gate operands, from 1 to
 MAX_WIDTH = 2**20: far above what a dense check takes, the ceiling keeps a
@@ -52,7 +61,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import CapExceeded, ValidationError
-from .gates import Gate, as_ints, gate_matrix
+from .gates import Gate, GateKind, as_ints, gate_matrix
 
 MAX_QUBITS = 12
 MAX_WIDTH = 2**20
@@ -122,6 +131,29 @@ def _placed(m: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray
     return out
 
 
+# Named gates' embeddings by (kind, operands, width), built on first use;
+# see the module docstring.
+_EMBEDDED: dict[tuple[GateKind, tuple[int, ...], int], np.ndarray] = {}
+
+
+def _embedded(g: Gate, qubits: tuple[int, ...], n_qubits: int, generic: dict) -> np.ndarray:
+    """Read-only _placed(gate_matrix(g), qubits, n_qubits).
+
+    A named gate's is built once per process, in _EMBEDDED; a GENERIC
+    gate's once per call, in `generic`, the caller's memo.
+    """
+    if g.matrix is None:
+        memo, key = _EMBEDDED, (g.kind, qubits, n_qubits)
+    else:
+        memo, key = generic, (g, qubits)
+    m = memo.get(key)
+    if m is None:
+        m = _placed(gate_matrix(g), qubits, n_qubits)
+        m.flags.writeable = False
+        memo[key] = m
+    return m
+
+
 def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     """Full 2**n matrix of a gate acting on its operands, identity elsewhere."""
     _check_cap(n_qubits, max_qubits)
@@ -187,14 +219,10 @@ def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     _check_cap(c.n_qubits, max_qubits)
     dim = 2**c.n_qubits
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    framed: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
+    generic: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
 
     def in_frame(g: Gate, frame: tuple[int, ...]) -> np.ndarray:
-        m = framed.get((g, frame))
-        if m is None:
-            local = (frame.index(g.qubits[0]),)
-            m = framed[g, frame] = _placed(gate_matrix(g), local, 2)
-        return m
+        return _embedded(g, (frame.index(g.qubits[0]),), 2, generic)
 
     runs = []
     for frame, _, groups in _support_runs(c.gates):
@@ -221,4 +249,24 @@ def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
             for m in mats:
                 gathered = m @ gathered
             block[rows] = gathered.reshape(rows.shape + (-1,))
+    return u
+
+
+def dense_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
+    """The circuit unitary as embed(g_t) @ ... @ embed(g_1), multiplied in turn.
+
+    For narrow circuits, where circuit_unitary's gathers cost more than the
+    arithmetic.  Each distinct gate's embedding comes from _embedded, and
+    the products alternate between two buffers.  The result is within
+    1e-14 of circuit_unitary's, entry by entry.
+    """
+    _check_cap(c.n_qubits, max_qubits)
+    n = c.n_qubits
+    generic: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
+    mats = {g: _embedded(g, g.qubits, n, generic) for g in dict.fromkeys(c.gates)}
+    u = np.eye(2**n, dtype=complex)
+    spare = np.empty_like(u)
+    for g in c.gates:
+        np.matmul(mats[g], u, out=spare)
+        u, spare = spare, u
     return u

@@ -16,6 +16,12 @@ oracle against circuit_unitary, which gathers rows of a running matrix:
 the two routes share no state-update or index code, so their agreement
 is a real check rather than a tautology.
 
+check_exact is the phase-insensitive `dist` between two unitaries.  At
+2-4 qubits (DENSE_WIDTHS) it takes them from circuit.dense_unitary, a
+product of embedded gates drawn from a table built once per process; at
+other widths from circuit_unitary.  Neither route shares code with the
+simulator.
+
 The tensor carries a trailing batch axis, shape (2,)*n + (B,), so one pass
 over the gates applies the circuit to B basis inputs at once, and `run`
 is a batch of one.
@@ -44,7 +50,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, _check_cap, circuit_unitary
+from .circuit import MAX_QUBITS, Circuit, _check_cap, circuit_unitary, dense_unitary
 from .errors import ValidationError
 from .gates import gate_matrix
 from .linalg import UNITARY_TOL, dist
@@ -56,6 +62,13 @@ DEFAULT_TOL = 1e-10
 # On a 12-qubit realified check, caps from 2**17 to 2**20 ran at the same
 # speed per input; the cap bounds memory, not time.
 BATCH_AMPLITUDES = 1 << 18
+# Widths at which check_exact multiplies embedded gates (dense_unitary) in
+# place of circuit_unitary's row gathers.  One qubit keeps the gathers: a
+# Solovay-Kitaev word of a thousand gates needs their product tree.  Wider
+# circuits keep them too: a dense product costs O(8**n) per gate against
+# O(4**n * 2**k), and at six qubits it is already the slower (60 named
+# gates, one BLAS thread: 2.2 against 1.2 ms).
+DENSE_WIDTHS = range(2, 5)
 
 
 @dataclass(frozen=True)
@@ -206,7 +219,8 @@ def check_exact(
         raise ValidationError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    d = dist(circuit_unitary(a, max_qubits), circuit_unitary(b, max_qubits))
+    unitary = dense_unitary if a.n_qubits in DENSE_WIDTHS else circuit_unitary
+    d = dist(unitary(a, max_qubits), unitary(b, max_qubits))
     return EquivalenceReport("exact-unitary", (d,), tol)
 
 

@@ -553,6 +553,7 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
 
     from threbase import io, verify
     from threbase.circuit import LONG_RUN, _support_runs
+    from threbase.linalg import dist
     from threbase.sk import SKConfig, sk_trace
 
     golden = Path(__file__).parent / "data" / "transpile"
@@ -577,20 +578,154 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
         seq = sk_trace(u, SKConfig(net=demo12, depth=3))[-1][0]
         word = io.parse_circuit(io.emit_circuit(Circuit(1, [gs.gate(lab) for lab in seq])))
         cases.append((check_exact, Circuit(1, [Gate(GateKind.GENERIC, (0,), u)]), word, 1e-2))
+    def reference(check, a, b, tol):
+        # The exact check's reference is formed here, not by patching
+        # verify.circuit_unitary, which check_exact does not call at 2-4
+        # qubits; the flag-qubit checks read the patched unitary.
+        if check is check_exact:
+            return EquivalenceReport(
+                "exact-unitary", (dist(per_gate_unitary(a), per_gate_unitary(b)),), tol
+            )
+        with monkeypatch.context() as m:
+            m.setattr(verify, "circuit_unitary", per_gate_unitary)
+            return check(a, b, tol)
+
     long = 0
     for check, a, b, tol in cases:
         long += any(sum(len(g) for _, g in groups) >= LONG_RUN
                     for c in (a, b) for _, _, groups in _support_runs(c.gates))
         got = check(a, b, tol)
-        with monkeypatch.context() as m:
-            m.setattr(verify, "circuit_unitary", per_gate_unitary)
-            want = check(a, b, tol)
-            dev = want.max_deviation
-            # Just either side of the per-gate deviation, too.
-            edges = [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)]
+        want = reference(check, a, b, tol)
+        dev = want.max_deviation
+        # Just either side of the per-gate deviation, too.
+        edges = [reference(check, a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)]
         assert got.passed == want.passed
         assert got.worst_input == want.worst_input
         assert abs(got.max_deviation - dev) <= 1e-12
         assert [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)] == edges
     # The kitaev golden output and every word hold a long run.
     assert long == 5
+
+
+# --- check_exact's dense product at 2-4 qubits ------------------------------
+
+
+def named_circuit(rng, n):
+    """Two of every named gate that fits in n qubits, in seeded order on
+    seeded operands, so multi-qubit kinds come in both operand orders."""
+    kinds = [k for k in ARITY if k is not GateKind.GENERIC and ARITY[k] <= n] * 2
+    gates = []
+    for i in rng.permutation(len(kinds)):
+        qs = rng.choice(n, size=ARITY[kinds[i]], replace=False)
+        gates.append(Gate(kinds[i], tuple(int(q) for q in qs)))
+    return Circuit(n, gates)
+
+
+def generic_circuit(rng, n, count=12):
+    """Seeded 1-3-qubit Haar GENERIC gates; each gate on two or more qubits
+    is followed by the same matrix on its operands reversed."""
+    gates = []
+    for _ in range(count):
+        k = int(rng.integers(1, min(n, 3) + 1))
+        qs = tuple(int(q) for q in rng.choice(n, size=k, replace=False))
+        m = haar_unitary(2**k, rng)
+        gates.append(Gate(GateKind.GENERIC, qs, m))
+        if k > 1:
+            gates.append(Gate(GateKind.GENERIC, qs[::-1], m))
+    return Circuit(n, gates)
+
+
+def narrow_circuits(corpus):
+    from threbase.verify import DENSE_WIDTHS
+
+    rng = np.random.default_rng(41)
+    circuits = [c for c in corpus if c.n_qubits in DENSE_WIDTHS]
+    for n in DENSE_WIDTHS:
+        circuits += [named_circuit(rng, n) for _ in range(3)]
+        circuits += [generic_circuit(rng, n) for _ in range(3)]
+    return circuits
+
+
+def test_dense_unitary_matches_row_gather(corpus):
+    from threbase.circuit import dense_unitary
+
+    circuits = narrow_circuits(corpus)
+    # Every corpus circuit has 2-4 qubits.
+    assert len(circuits) == len(corpus) + 18
+    for c in circuits:
+        assert np.max(np.abs(dense_unitary(c) - circuit_unitary(c))) <= 1e-14
+
+
+def test_check_exact_matches_the_two_matrix_dist(corpus):
+    from threbase import rebase_circuit
+    from threbase.linalg import dist
+
+    pairs = []
+    for c in narrow_circuits(corpus):
+        pairs.append((c, Circuit(c.n_qubits, c.gates[:-1])))
+        if all(g.matrix is None for g in c.gates):
+            # Every named gate has an exact word: an equivalent pair.
+            pairs.append((c, rebase_circuit(c, None, 1.0)[0]))
+    verdicts = set()
+    for a, b in pairs:
+        want = dist(circuit_unitary(a), circuit_unitary(b))
+        got = check_exact(a, b)
+        assert got.passed == (want <= got.tolerance)
+        assert abs(got.max_deviation - want) <= 1e-14
+        verdicts.add(got.passed)
+    assert verdicts == {True, False}
+
+
+def test_check_exact_checks_width_then_cap_before_any_product(monkeypatch):
+    from threbase import circuit, verify
+
+    built = []
+    monkeypatch.setattr(circuit, "_embedded", lambda *args: built.append(args))
+    monkeypatch.setattr(verify, "circuit_unitary", lambda *args: built.append(args))
+    four = Circuit(4, [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (0, 3))])
+    three = Circuit(3, [Gate(GateKind.H, (0,))])
+    with pytest.raises(ValidationError, match="^qubit counts differ: 4 vs 3$"):
+        check_exact(four, three, max_qubits=2)
+    with pytest.raises(CapExceeded, match="^4 qubits exceeds the dense-matrix cap of 3$"):
+        check_exact(four, four, max_qubits=3)
+    assert built == []
+    monkeypatch.undo()
+    assert check_exact(three, three, max_qubits=3).passed
+
+
+def test_embedding_table_holds_named_gates_once_and_read_only(corpus, monkeypatch):
+    from threbase import circuit
+    from threbase.circuit import _embedded, _placed
+
+    table = {}
+    monkeypatch.setattr(circuit, "_EMBEDDED", table)
+    one_qubit = [k for k in ARITY if k is not GateKind.GENERIC and ARITY[k] == 1]
+    # circuit_unitary multiplies a one-qubit gate beside a two-qubit gate as
+    # its embedding in that gate's frame: here in both positions of both
+    # operand orders.
+    framed = [Gate(GateKind.CNOT, (1, 0))]
+    for kind in one_qubit:
+        framed += [Gate(kind, (0,)), Gate(kind, (1,)), Gate(GateKind.CS, (0, 1))]
+    circuit_unitary(Circuit(3, framed))
+    assert set(table) == {(kind, (q,), 2) for kind in one_qubit for q in (0, 1)}
+    for c in narrow_circuits(corpus):
+        check_exact(c, c)
+    assert {n for _, _, n in table} == {2, 3, 4}
+    for (kind, qubits, n), m in table.items():
+        assert not m.flags.writeable
+        with pytest.raises(ValueError):
+            m[0, 0] = 0
+        # A repeat lookup is the same object, with the bytes of a fresh
+        # placement.
+        assert _embedded(Gate(kind, qubits), qubits, n, {}) is m
+        assert m.tobytes() == _placed(gate_matrix(kind), qubits, n).tobytes()
+    # GENERIC gates, framed or not, never enter the table.
+    size = len(table)
+    rng = np.random.default_rng(43)
+    u2 = haar_unitary(2, rng)
+    in_frame = Circuit(3, [Gate(GateKind.GENERIC, (2, 1), haar_unitary(4, rng)),
+                           Gate(GateKind.GENERIC, (1,), u2), Gate(GateKind.GENERIC, (2,), u2)])
+    for c in [in_frame] + [generic_circuit(rng, n) for n in (2, 3, 4, 5)]:
+        check_exact(c, c)
+        circuit_unitary(c)
+    assert len(table) == size
