@@ -5,47 +5,52 @@ product embed(g_t) @ ... @ embed(g_1): appending a gate multiplies on the
 left.  Qubit 0 is the most significant bit of a basis-state index, so on
 two qubits |01> is index 1 and embed(X on qubit 1) maps |00> to |01>.
 
-circuit_unitary never forms an embedded matrix.  A k-qubit gate only mixes
-rows whose indices differ in its operand bits, so each gate gathers those
-rows of the running matrix in groups of 2**k and multiplies each group by
-the gate matrix: O(4**n * 2**k) per gate instead of the O(8**n) dense
-product.  The row-index table (`_operand_rows`, one transpose of the index
-tensor) is the same table that places a gate's entries in `embed`.
-Columns of the unitary evolve independently, so the circuit is applied to
-blocks of at most BLOCK_AMPLITUDES entries of the identity in turn: beside
-the result, a gate application then holds two blocks, not two more full
-matrices.  A run of consecutive gates is gathered once, multiplied gate by
-gate, and scattered once; the gather and scatter are exact copies.  A run
-is a group of gates on the same operands (a single-qubit Solovay-Kitaev
-word is one), or adjacent groups merged while their joint support stays
-within two qubits and every two-qubit gate among them has the same operand
-order, the run's frame (an exact {H, CS} word of a one-qubit gate is one
-run).  A gate on one qubit of the frame is multiplied as its 4x4
-embedding in the frame; the embedding's exact zeros add nothing, and the
-tests check the result against the per-gate loop bit for bit.
+circuit_unitary multiplies the circuit out run by run.  A run is a list
+of consecutive gates on one frame, an operand tuple: each gate is
+multiplied as its embedding in the frame, or as its own matrix when its
+operands are the frame in order.  A circuit of at most DENSE_WIDTH = 4
+qubits is one run whose frame is the whole register, so each gate is
+its embedding in the register (a single-qubit Solovay-Kitaev word is a
+run of gate matrices): there the gathers below cost more per run than
+the arithmetic they save.
+
+A wider circuit never forms an embedded matrix of the register.  A
+k-qubit frame only mixes rows whose indices differ in its operand bits,
+so a run gathers those rows of the running matrix in groups of 2**k,
+multiplies each group by the run's matrices and scatters it back:
+O(4**n * 2**k) per gate instead of the O(8**n) dense product.  The
+row-index table (`_operand_rows`, one transpose of the index tensor) is
+the same table that places a gate's entries in `embed`.  Columns of the
+unitary evolve independently, so the circuit is applied to blocks of at
+most BLOCK_AMPLITUDES entries of the identity in turn: beside the
+result, a run then holds two blocks, not two more full matrices.  There
+a run is a group of gates on the same operands, or adjacent groups
+merged while their joint support stays within two qubits and every
+two-qubit gate among them has the same operand order (an exact {H, CS}
+word of a one-qubit gate is one run).  A gate on one qubit of the frame
+is multiplied as its 4x4 embedding; the embedding's exact zeros add
+nothing, and the tests check the result against the per-gate loop bit
+for bit.
 
 A long run, of LONG_RUN = 16 gates or more, is multiplied out once per
 call, before the blocks, and its one matrix is applied through the same
 gather and scatter.  The product is a tree: the run's matrices are
-stacked, padded with identities to a power of two, and each level
-multiplies neighbouring pairs for the whole stack in batched numpy
-calls, about log2(L) levels in place of L matmuls on every block
+stacked, and each level multiplies neighbouring pairs for the whole
+stack in batched numpy calls, an unpaired last one carried up, about
+log2(L) levels in place of L matmuls on every block
 (a 1,186-gate Solovay-Kitaev word over 3 distinct gates is one such
-run).  The tree rounds differently from the per-gate loop, so the
-contract is: a circuit whose runs are all shorter than LONG_RUN gives
-the per-gate loop's bytes, and a long run's result is within 1e-13 of
-it, entry by entry.  Below LONG_RUN the stack's fixed cost loses to a
-few small matmuls.
+run).  The tree, and a dense product at 2-4 qubits, round differently
+from the per-gate loop, so the contract is: at one qubit and at more
+than DENSE_WIDTH qubits, a circuit whose runs are all shorter than
+LONG_RUN gives the per-gate loop's bytes, and every unitary is within
+1e-13 of it, entry by entry.  Below LONG_RUN the stack's fixed cost
+loses to a few small matmuls.
 
-Embeddings are built by one function, `_embedded`.  A named gate's is
-kept in one table, `_EMBEDDED`, keyed by (kind, operands, width): built
-once per process and read-only.  A GENERIC gate's is built once per call,
-in the caller's memo, and never enters the table, which therefore stays
-bounded.  The frame embeddings above read it, and so does dense_unitary,
-the product embed(g_t) @ ... @ embed(g_1) multiplied in turn, which
-verify.check_exact uses at 2-4 qubits, where the gathers' per-run and
-per-call costs exceed the arithmetic they save.  Its result is within
-1e-14 of circuit_unitary's, entry by entry.
+Embeddings are built by one function, `_embedded`, and circuit_unitary
+keeps each gate's in a frame once per call.  A named gate's is also kept
+in one table, `_EMBEDDED`, keyed by (kind, positions in the frame, frame
+width): built once per process and read-only.  A GENERIC gate's never
+enters the table, which therefore stays bounded.
 
 A Circuit's width is an integer, by the rule for gate operands, from 1 to
 MAX_WIDTH = 2**20: far above what a dense check takes, the ceiling keeps a
@@ -69,6 +74,12 @@ MAX_WIDTH = 2**20
 BLOCK_AMPLITUDES = 2**16
 # A run of at least this many gates is multiplied out before the blocks.
 LONG_RUN = 16
+# Circuits of at most this many qubits are one run on the whole register,
+# where the gathers' per-run cost exceeds the arithmetic they save.  Wider
+# ones keep them: a dense product costs O(8**n) per gate against
+# O(4**n * 2**k), and at 6 qubits it is already the slower (60 named
+# gates, one BLAS thread: 2.2 against 1.2 ms).
+DENSE_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -131,26 +142,24 @@ def _placed(m: np.ndarray, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray
     return out
 
 
-# Named gates' embeddings by (kind, operands, width), built on first use;
-# see the module docstring.
+# Named gates' embeddings by (kind, positions, frame width), built on first
+# use; see the module docstring.
 _EMBEDDED: dict[tuple[GateKind, tuple[int, ...], int], np.ndarray] = {}
 
 
-def _embedded(g: Gate, qubits: tuple[int, ...], n_qubits: int, generic: dict) -> np.ndarray:
-    """Read-only _placed(gate_matrix(g), qubits, n_qubits).
+def _embedded(g: Gate, qubits: tuple[int, ...], n_qubits: int) -> np.ndarray:
+    """_placed(gate_matrix(g), qubits, n_qubits).
 
-    A named gate's is built once per process, in _EMBEDDED; a GENERIC
-    gate's once per call, in `generic`, the caller's memo.
+    A named gate's is built once per process, in _EMBEDDED, and read-only;
+    a GENERIC gate's is built on each call.
     """
-    if g.matrix is None:
-        memo, key = _EMBEDDED, (g.kind, qubits, n_qubits)
-    else:
-        memo, key = generic, (g, qubits)
-    m = memo.get(key)
+    if g.matrix is not None:
+        return _placed(gate_matrix(g), qubits, n_qubits)
+    key = (g.kind, qubits, n_qubits)
+    m = _EMBEDDED.get(key)
     if m is None:
-        m = _placed(gate_matrix(g), qubits, n_qubits)
+        m = _EMBEDDED[key] = _placed(gate_matrix(g), qubits, n_qubits)
         m.flags.writeable = False
-        memo[key] = m
     return m
 
 
@@ -164,17 +173,20 @@ def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray
     return _placed(gate_matrix(gate), gate.qubits, n_qubits)
 
 
-def _support_runs(gates) -> list[list]:
+def _support_runs(gates, n_qubits: int) -> list[list]:
     """Gates split into runs of [frame, ordered, groups], in circuit order.
 
     groups are the (operands, gates) of groupby over operands, which runs
-    at C speed; a group joins the run before it while the joint support
-    stays within two qubits and, once a two-qubit group has fixed the
-    frame's order (ordered), every two-qubit group has that order.
+    at C speed.  On at most DENSE_WIDTH qubits they are one run on the
+    whole register.  Wider, a group joins the run before it while the
+    joint support stays within two qubits and, once a two-qubit group has
+    fixed the frame's order (ordered), every two-qubit group has that order.
     """
+    groups = [(qubits, list(group)) for qubits, group in groupby(gates, key=attrgetter("qubits"))]
+    if n_qubits <= DENSE_WIDTH:
+        return [[tuple(range(n_qubits)), True, groups]]
     runs: list[list] = []
-    for qubits, group in groupby(gates, key=attrgetter("qubits")):
-        group = list(group)
+    for qubits, group in groups:
         if runs and len(qubits) <= 2:
             run = runs[-1]
             frame, ordered = run[0], run[1]
@@ -193,25 +205,25 @@ def _run_product(mats: list[np.ndarray]) -> np.ndarray:
     """mats[-1] @ ... @ mats[0] as a product tree.
 
     The stack is one fancy index into a table of the distinct matrices (the
-    same object is one entry), padded with identities to a power of two.
-    Each level multiplies every odd entry onto the even one before it in
-    one stacked matmul, which makes one BLAS call per pair.  2x2 levels
-    are summed from entry planes instead, two broadcast products over the
-    whole level: on a long Solovay-Kitaev word about twice as fast.
+    same object is one entry).  Each level multiplies every odd entry onto
+    the even one before it in one stacked matmul, which makes one BLAS
+    call per pair, and carries an unpaired last entry up as it is: the
+    pairs, and so the bytes, of a stack padded with identities to a power
+    of two, without its wasted products.  2x2 levels are summed from entry
+    planes instead, two broadcast products over the whole level: on a long
+    Solovay-Kitaev word about twice as fast.
     """
     ids = list(map(id, mats))
     table = dict(zip(ids, mats))
     slot = dict(zip(table, range(len(table))))
-    index = list(map(slot.__getitem__, ids))
-    index += [len(table)] * ((1 << (len(mats) - 1).bit_length()) - len(mats))
-    eye = np.eye(len(mats[0]), dtype=complex)
-    stack = np.array([*table.values(), eye], dtype=complex)[index]
+    stack = np.array(list(table.values()), dtype=complex)[list(map(slot.__getitem__, ids))]
     while len(stack) > 1:
-        a, b = stack[1::2], stack[0::2]
-        if len(eye) == 2:
-            stack = a[:, :, :1] * b[:, :1, :] + a[:, :, 1:] * b[:, 1:, :]
+        a, b = stack[1::2], stack[:-1:2]
+        if len(a[0]) == 2:
+            top = a[:, :, :1] * b[:, :1, :] + a[:, :, 1:] * b[:, 1:, :]
         else:
-            stack = a @ b
+            top = a @ b
+        stack = np.concatenate((top, stack[-1:])) if len(stack) % 2 else top
     return stack[0]
 
 
@@ -219,13 +231,9 @@ def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
     _check_cap(c.n_qubits, max_qubits)
     dim = 2**c.n_qubits
     tables: dict[tuple[int, ...], np.ndarray] = {}
-    generic: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
-
-    def in_frame(g: Gate, frame: tuple[int, ...]) -> np.ndarray:
-        return _embedded(g, (frame.index(g.qubits[0]),), 2, generic)
-
+    placed: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
     runs = []
-    for frame, _, groups in _support_runs(c.gates):
+    for frame, _, groups in _support_runs(c.gates, c.n_qubits):
         rows = tables.get(frame)
         if rows is None:
             rows = tables[frame] = _operand_rows(frame, c.n_qubits)
@@ -233,8 +241,13 @@ def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
         for qubits, group in groups:
             if qubits == frame:
                 mats.extend(map(gate_matrix, group))
-            else:
-                mats.extend(in_frame(g, frame) for g in group)
+                continue
+            at = tuple(map(frame.index, qubits))
+            for g in group:
+                m = placed.get((g, frame))
+                if m is None:
+                    m = placed[g, frame] = _embedded(g, at, len(frame))
+                mats.append(m)
         if len(mats) >= LONG_RUN:
             mats = [_run_product(mats)]
         runs.append((rows, mats))
@@ -249,24 +262,4 @@ def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
             for m in mats:
                 gathered = m @ gathered
             block[rows] = gathered.reshape(rows.shape + (-1,))
-    return u
-
-
-def dense_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
-    """The circuit unitary as embed(g_t) @ ... @ embed(g_1), multiplied in turn.
-
-    For narrow circuits, where circuit_unitary's gathers cost more than the
-    arithmetic.  Each distinct gate's embedding comes from _embedded, and
-    the products alternate between two buffers.  The result is within
-    1e-14 of circuit_unitary's, entry by entry.
-    """
-    _check_cap(c.n_qubits, max_qubits)
-    n = c.n_qubits
-    generic: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
-    mats = {g: _embedded(g, g.qubits, n, generic) for g in dict.fromkeys(c.gates)}
-    u = np.eye(2**n, dtype=complex)
-    spare = np.empty_like(u)
-    for g in c.gates:
-        np.matmul(mats[g], u, out=spare)
-        u, spare = spare, u
     return u

@@ -12,15 +12,11 @@ inverse transpose.  When every gate matrix is real, as on every circuit
 that `transpile --to th` emits, the state is float64 and the matmuls use
 the real parts; otherwise it is complex.  The route follows from the
 matrices, not from an option.  That keeps the simulator an independent
-oracle against circuit_unitary, which gathers rows of a running matrix:
+oracle against circuit_unitary, which multiplies out a running matrix:
 the two routes share no state-update or index code, so their agreement
-is a real check rather than a tautology.
-
-check_exact is the phase-insensitive `dist` between two unitaries.  At
-2-4 qubits (DENSE_WIDTHS) it takes them from circuit.dense_unitary, a
-product of embedded gates drawn from a table built once per process; at
-other widths from circuit_unitary.  Neither route shares code with the
-simulator.
+is a real check rather than a tautology.  Every check builds its
+unitaries through circuit_unitary alone; check_exact is the
+phase-insensitive `dist` between the two circuits'.
 
 The tensor carries a trailing batch axis, shape (2,)*n + (B,), so one pass
 over the gates applies the circuit to B basis inputs at once, and `run`
@@ -50,7 +46,7 @@ from functools import partial
 
 import numpy as np
 
-from .circuit import MAX_QUBITS, Circuit, _check_cap, circuit_unitary, dense_unitary
+from .circuit import MAX_QUBITS, Circuit, _check_cap, circuit_unitary
 from .errors import ValidationError
 from .gates import gate_matrix
 from .linalg import UNITARY_TOL, dist
@@ -62,13 +58,6 @@ DEFAULT_TOL = 1e-10
 # On a 12-qubit realified check, caps from 2**17 to 2**20 ran at the same
 # speed per input; the cap bounds memory, not time.
 BATCH_AMPLITUDES = 1 << 18
-# Widths at which check_exact multiplies embedded gates (dense_unitary) in
-# place of circuit_unitary's row gathers.  One qubit keeps the gathers: a
-# Solovay-Kitaev word of a thousand gates needs their product tree.  Wider
-# circuits keep them too: a dense product costs O(8**n) per gate against
-# O(4**n * 2**k), and at six qubits it is already the slower (60 named
-# gates, one BLAS thread: 2.2 against 1.2 ms).
-DENSE_WIDTHS = range(2, 5)
 
 
 @dataclass(frozen=True)
@@ -219,8 +208,7 @@ def check_exact(
         raise ValidationError(
             f"qubit counts differ: {a.n_qubits} vs {b.n_qubits}"
         )
-    unitary = dense_unitary if a.n_qubits in DENSE_WIDTHS else circuit_unitary
-    d = dist(unitary(a, max_qubits), unitary(b, max_qubits))
+    d = dist(circuit_unitary(a, max_qubits), circuit_unitary(b, max_qubits))
     return EquivalenceReport("exact-unitary", (d,), tol)
 
 

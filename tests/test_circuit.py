@@ -150,7 +150,9 @@ def test_column_blocks_match_unblocked_product(corpus, monkeypatch):
         k = int(rng.integers(1, 4))
         qs = tuple(int(q) for q in rng.choice(5, size=k, replace=False))
         generic.append(Gate(GateKind.GENERIC, qs, haar_unitary(2**k, rng)))
-    for c in corpus[:30] + [Circuit(5, generic)]:
+    # The corpus circuits lifted to 5 qubits, where runs are gathered and
+    # scattered in blocks of columns.
+    for c in [Circuit(5, c.gates) for c in corpus[:30]] + [Circuit(5, generic)]:
         want = unblocked_product(c).tobytes()
         assert circuit_unitary(c).tobytes() == want
         # Blocks four columns wide; at full size they are at least 16 wide.
@@ -186,8 +188,8 @@ TREE_ATOL = 1e-13
 def longest_run(c):
     from threbase.circuit import _support_runs
 
-    return max((sum(len(group) for _, group in groups) for _, _, groups in _support_runs(c.gates)),
-               default=0)
+    return max((sum(len(group) for _, group in groups)
+                for _, _, groups in _support_runs(c.gates, c.n_qubits)), default=0)
 
 
 def assert_tree_close(got, want):
@@ -205,8 +207,9 @@ def test_runs_match_per_gate_product_bitwise(monkeypatch):
     assert longest_run(word) >= circuit.LONG_RUN
     assert_tree_close(circuit_unitary(word), unblocked_product(word))
     # (0, 1) and (1, 0) share a frozenset but not a row table; so do the
-    # two 3-qubit orders.  Adjacent runs may share a kind.
-    mixed = runs_circuit(rng, 3, [(0, 1), (1, 0), (2,), (0, 1, 2), (2, 0, 1)], 40)
+    # two 3-qubit orders.  Adjacent runs may share a kind.  Five qubits, so
+    # that each operand tuple is a run of its own.
+    mixed = runs_circuit(rng, 5, [(0, 1), (1, 0), (2,), (0, 1, 2), (2, 0, 1)], 40)
     assert longest_run(mixed) < circuit.LONG_RUN
     assert circuit_unitary(mixed).tobytes() == unblocked_product(mixed).tobytes()
     wide = runs_circuit(rng, 9, [(0,), (8,), (3, 5), (5, 3), (7, 1, 4), (2, 6)], 16)
@@ -249,7 +252,7 @@ def test_support_runs_merge_within_two_qubits_and_one_order():
         g(GateKind.H, 1), g(GateKind.CCX, 0, 1, 2), g(GateKind.H, 0),
     ]
     frames = [(frame, sum(len(group) for _, group in groups))
-              for frame, _, groups in _support_runs(gates)]
+              for frame, _, groups in _support_runs(gates, 5)]
     assert frames == [((1, 0), 4), ((0, 1), 2), ((2, 1), 2), ((0, 1, 2), 1), ((0,), 1)]
 
 
@@ -258,29 +261,17 @@ def test_one_qubit_gates_in_two_qubit_runs_match_per_gate_product_bitwise(monkey
     from threbase.circuit import _support_runs
 
     rng = np.random.default_rng(8)
-    for n in (2, 3, 4, 6):
+    # Five qubits and more, where runs are gathered on their frames; every
+    # run is shorter than LONG_RUN, so each product is bitwise the loop's.
+    for n in (5, 6, 7, 8):
         c = pair_runs_circuit(rng, n, 12)
-        runs = _support_runs(c.gates)
-        assert any(len(groups) > 1 for _, _, groups in runs)
-        want = unblocked_product(c)
-        # The 2- and 3-qubit circuits hold a run of 24 and 18 gates, which
-        # is multiplied as a product tree; the others are bitwise the loop.
-        long = longest_run(c) >= circuit.LONG_RUN
-        assert long == (n <= 3)
-        if long:
-            assert_tree_close(circuit_unitary(c), want)
-        else:
-            assert circuit_unitary(c).tobytes() == want.tobytes()
-        if n == 2:
-            continue
-        # Four columns per block.  Narrower blocks take other matmul
-        # kernels, whose rounding differs from the whole-matrix product
-        # even for runs on one operand tuple.
+        assert any(len(groups) > 1 for _, _, groups in _support_runs(c.gates, n))
+        assert longest_run(c) < circuit.LONG_RUN
+        want = unblocked_product(c).tobytes()
+        assert circuit_unitary(c).tobytes() == want
+        # Four columns per block.
         monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**n)
-        if long:
-            assert_tree_close(circuit_unitary(c), want)
-        else:
-            assert circuit_unitary(c).tobytes() == want.tobytes()
+        assert circuit_unitary(c).tobytes() == want
         monkeypatch.undo()
 
 
@@ -318,11 +309,12 @@ def test_long_runs_are_a_product_tree_within_tolerance(frame, monkeypatch):
     tree = circuit._run_product
     monkeypatch.setattr(circuit, "_run_product", lambda mats: calls.append(len(mats)) or tree(mats))
     rng = np.random.default_rng(11)
-    # CCX starts and ends a run of its own, so the middle run has `length` gates.
+    # CCX starts and ends a run of its own, so the middle run has `length`
+    # gates: on five qubits, where runs are gathered on their frames.
     ccx = Gate(GateKind.CCX, (0, 1, 2))
     for length in (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, 2 * LONG_RUN + 1, 64, 5000):
-        c = Circuit(3, [ccx] + frame_run(rng, frame, length) + [ccx])
-        assert [sum(len(g) for _, g in groups) for _, _, groups in _support_runs(c.gates)] == [
+        c = Circuit(5, [ccx] + frame_run(rng, frame, length) + [ccx])
+        assert [sum(len(g) for _, g in groups) for _, _, groups in _support_runs(c.gates, 5)] == [
             1, length, 1]
         calls.clear()
         got, want = circuit_unitary(c), unblocked_product(c)
@@ -351,6 +343,45 @@ def test_long_runs_in_column_blocks_match_the_default_blocking(monkeypatch):
     # runs' products formed once.
     monkeypatch.setattr(circuit, "BLOCK_AMPLITUDES", 4 * 2**9)
     assert_tree_close(circuit_unitary(c), default)
+
+
+def test_dense_width_is_the_boundary_of_one_run_on_the_register(monkeypatch):
+    from threbase import circuit, haar_unitary
+    from threbase.circuit import DENSE_WIDTH, LONG_RUN, _support_runs
+    from threbase.gates import ARITY
+
+    assert DENSE_WIDTH == 4
+    rng = np.random.default_rng(13)
+    # At 4 qubits GENERIC gates in both operand orders of each pair, and on
+    # one qubit, are one run on the register: multiplied in turn below
+    # LONG_RUN gates and as a product tree from it.
+    gates = []
+    for _ in range(10):
+        qs = tuple(int(q) for q in rng.choice(4, size=2, replace=False))
+        m = haar_unitary(4, rng)
+        gates += [Gate(GateKind.GENERIC, qs, m), Gate(GateKind.GENERIC, qs[::-1], m),
+                  Gate(GateKind.GENERIC, qs[:1], haar_unitary(2, rng))]
+    for c in (Circuit(4, gates[:LONG_RUN - 1]), Circuit(4, gates)):
+        runs = _support_runs(c.gates, 4)
+        assert [(frame, sum(len(g) for _, g in groups)) for frame, _, groups in runs] == [
+            ((0, 1, 2, 3), len(c))]
+        assert np.max(np.abs(circuit_unitary(c) - unblocked_product(c))) <= 1e-14
+    # At 5 qubits, named gates in runs shorter than LONG_RUN give the loop's
+    # bytes.
+    kinds = [k for k in ARITY if k is not GateKind.GENERIC] * 3
+    wide = Circuit(5, [Gate(kinds[i], tuple(int(q) for q in rng.choice(5, ARITY[kinds[i]], False)))
+                       for i in rng.permutation(len(kinds))])
+    assert len(_support_runs(wide.gates, 5)) > 1
+    assert longest_run(wide) < LONG_RUN
+    assert circuit_unitary(wide).tobytes() == unblocked_product(wide).tobytes()
+    # GENERIC gates never enter the embedding table, at any width up to 5:
+    # embedded in the register at 2-4 qubits or in a frame at 5.
+    table = {}
+    monkeypatch.setattr(circuit, "_EMBEDDED", table)
+    for n in range(1, 6):
+        circuit_unitary(Circuit(n, frame_run(rng, (0,) if n == 1 else (n - 1, 0), 40)))
+    assert {width for _, _, width in table} == {2, 3, 4}
+    assert all(kind is not GateKind.GENERIC for kind, _, _ in table)
 
 
 def test_circuit_unitary_peak_memory_is_bounded():

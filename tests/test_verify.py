@@ -553,7 +553,6 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
 
     from threbase import io, verify
     from threbase.circuit import LONG_RUN, _support_runs
-    from threbase.linalg import dist
     from threbase.sk import SKConfig, sk_trace
 
     golden = Path(__file__).parent / "data" / "transpile"
@@ -579,21 +578,16 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
         word = io.parse_circuit(io.emit_circuit(Circuit(1, [gs.gate(lab) for lab in seq])))
         cases.append((check_exact, Circuit(1, [Gate(GateKind.GENERIC, (0,), u)]), word, 1e-2))
     def reference(check, a, b, tol):
-        # The exact check's reference is formed here, not by patching
-        # verify.circuit_unitary, which check_exact does not call at 2-4
-        # qubits; the flag-qubit checks read the patched unitary.
-        if check is check_exact:
-            return EquivalenceReport(
-                "exact-unitary", (dist(per_gate_unitary(a), per_gate_unitary(b)),), tol
-            )
         with monkeypatch.context() as m:
             m.setattr(verify, "circuit_unitary", per_gate_unitary)
             return check(a, b, tol)
 
     long = 0
     for check, a, b, tol in cases:
+        # The flag-qubit checks form the original's unitary alone.
+        unitaries = (a, b) if check is check_exact else (a,)
         long += any(sum(len(g) for _, g in groups) >= LONG_RUN
-                    for c in (a, b) for _, _, groups in _support_runs(c.gates))
+                    for c in unitaries for _, _, groups in _support_runs(c.gates, c.n_qubits))
         got = check(a, b, tol)
         want = reference(check, a, b, tol)
         dev = want.max_deviation
@@ -603,11 +597,12 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
         assert got.worst_input == want.worst_input
         assert abs(got.max_deviation - dev) <= 1e-12
         assert [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)] == edges
-    # The kitaev golden output and every word hold a long run.
-    assert long == 5
+    # The kitaev golden output, the 16-gate mixed_ccx input (one run on its
+    # 3 qubits) and every word hold a long run.
+    assert long == 6
 
 
-# --- check_exact's dense product at 2-4 qubits ------------------------------
+# --- one run on the register at 1-4 qubits ---------------------------------
 
 
 def named_circuit(rng, n):
@@ -636,24 +631,22 @@ def generic_circuit(rng, n, count=12):
 
 
 def narrow_circuits(corpus):
-    from threbase.verify import DENSE_WIDTHS
+    from threbase.circuit import DENSE_WIDTH
 
     rng = np.random.default_rng(41)
-    circuits = [c for c in corpus if c.n_qubits in DENSE_WIDTHS]
-    for n in DENSE_WIDTHS:
+    circuits = [c for c in corpus if c.n_qubits <= DENSE_WIDTH]
+    for n in range(1, DENSE_WIDTH + 1):
         circuits += [named_circuit(rng, n) for _ in range(3)]
         circuits += [generic_circuit(rng, n) for _ in range(3)]
     return circuits
 
 
-def test_dense_unitary_matches_row_gather(corpus):
-    from threbase.circuit import dense_unitary
-
+def test_narrow_unitaries_match_the_per_gate_loop(corpus):
     circuits = narrow_circuits(corpus)
     # Every corpus circuit has 2-4 qubits.
-    assert len(circuits) == len(corpus) + 18
+    assert len(circuits) == len(corpus) + 24
     for c in circuits:
-        assert np.max(np.abs(dense_unitary(c) - circuit_unitary(c))) <= 1e-14
+        assert np.max(np.abs(circuit_unitary(c) - per_gate_unitary(c))) <= 1e-14
 
 
 def test_check_exact_matches_the_two_matrix_dist(corpus):
@@ -663,12 +656,13 @@ def test_check_exact_matches_the_two_matrix_dist(corpus):
     pairs = []
     for c in narrow_circuits(corpus):
         pairs.append((c, Circuit(c.n_qubits, c.gates[:-1])))
-        if all(g.matrix is None for g in c.gates):
-            # Every named gate has an exact word: an equivalent pair.
+        if c.n_qubits > 1 and all(g.matrix is None for g in c.gates):
+            # Past one qubit every named gate has an exact word: an
+            # equivalent pair.
             pairs.append((c, rebase_circuit(c, None, 1.0)[0]))
     verdicts = set()
     for a, b in pairs:
-        want = dist(circuit_unitary(a), circuit_unitary(b))
+        want = dist(per_gate_unitary(a), per_gate_unitary(b))
         got = check_exact(a, b)
         assert got.passed == (want <= got.tolerance)
         assert abs(got.max_deviation - want) <= 1e-14
@@ -677,11 +671,11 @@ def test_check_exact_matches_the_two_matrix_dist(corpus):
 
 
 def test_check_exact_checks_width_then_cap_before_any_product(monkeypatch):
-    from threbase import circuit, verify
+    from threbase import circuit
 
     built = []
     monkeypatch.setattr(circuit, "_embedded", lambda *args: built.append(args))
-    monkeypatch.setattr(verify, "circuit_unitary", lambda *args: built.append(args))
+    monkeypatch.setattr(circuit, "_support_runs", lambda *args: built.append(args))
     four = Circuit(4, [Gate(GateKind.H, (0,)), Gate(GateKind.CS, (0, 3))])
     three = Circuit(3, [Gate(GateKind.H, (0,))])
     with pytest.raises(ValidationError, match="^qubit counts differ: 4 vs 3$"):
@@ -700,13 +694,13 @@ def test_embedding_table_holds_named_gates_once_and_read_only(corpus, monkeypatc
     table = {}
     monkeypatch.setattr(circuit, "_EMBEDDED", table)
     one_qubit = [k for k in ARITY if k is not GateKind.GENERIC and ARITY[k] == 1]
-    # circuit_unitary multiplies a one-qubit gate beside a two-qubit gate as
-    # its embedding in that gate's frame: here in both positions of both
-    # operand orders.
+    # Past 4 qubits circuit_unitary multiplies a one-qubit gate beside a
+    # two-qubit gate as its embedding in that gate's frame: here in both
+    # positions of both operand orders.
     framed = [Gate(GateKind.CNOT, (1, 0))]
     for kind in one_qubit:
         framed += [Gate(kind, (0,)), Gate(kind, (1,)), Gate(GateKind.CS, (0, 1))]
-    circuit_unitary(Circuit(3, framed))
+    circuit_unitary(Circuit(5, framed))
     assert set(table) == {(kind, (q,), 2) for kind in one_qubit for q in (0, 1)}
     for c in narrow_circuits(corpus):
         check_exact(c, c)
@@ -717,13 +711,13 @@ def test_embedding_table_holds_named_gates_once_and_read_only(corpus, monkeypatc
             m[0, 0] = 0
         # A repeat lookup is the same object, with the bytes of a fresh
         # placement.
-        assert _embedded(Gate(kind, qubits), qubits, n, {}) is m
+        assert _embedded(Gate(kind, qubits), qubits, n) is m
         assert m.tobytes() == _placed(gate_matrix(kind), qubits, n).tobytes()
     # GENERIC gates, framed or not, never enter the table.
     size = len(table)
     rng = np.random.default_rng(43)
     u2 = haar_unitary(2, rng)
-    in_frame = Circuit(3, [Gate(GateKind.GENERIC, (2, 1), haar_unitary(4, rng)),
+    in_frame = Circuit(5, [Gate(GateKind.GENERIC, (2, 1), haar_unitary(4, rng)),
                            Gate(GateKind.GENERIC, (1,), u2), Gate(GateKind.GENERIC, (2,), u2)])
     for c in [in_frame] + [generic_circuit(rng, n) for n in (2, 3, 4, 5)]:
         check_exact(c, c)
