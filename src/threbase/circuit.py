@@ -5,46 +5,45 @@ product embed(g_t) @ ... @ embed(g_1): appending a gate multiplies on the
 left.  Qubit 0 is the most significant bit of a basis-state index, so on
 two qubits |01> is index 1 and embed(X on qubit 1) maps |00> to |01>.
 
-circuit_unitary multiplies the circuit out run by run.  A run is a list
-of consecutive gates on one frame, an operand tuple: each gate is
-multiplied as its embedding in the frame, or as its own matrix when its
-operands are the frame in order.  A circuit of at most DENSE_WIDTH = 4
-qubits is one run whose frame is the whole register, so each gate is
-its embedding in the register (a single-qubit Solovay-Kitaev word is a
-run of gate matrices): there the gathers below cost more per run than
-the arithmetic they save.
+circuit_unitary multiplies a circuit of at most DENSE_WIDTH = 4 qubits
+out as a plain product onto the identity, each gate its own matrix when
+its operands are the register in order, else its embedding in the
+register: there row gathers would cost more than the arithmetic they
+save.  The identity keeps a product's signed zeros: one SDG gives +0.0
+at [1, 1], not its own -0.0.
 
-A wider circuit never forms an embedded matrix of the register.  A
-k-qubit frame only mixes rows whose indices differ in its operand bits,
-so a run gathers those rows of the running matrix in groups of 2**k,
-multiplies each group by the run's matrices and scatters it back:
-O(4**n * 2**k) per gate instead of the O(8**n) dense product.  The
-row-index table (`_operand_rows`, one transpose of the index tensor) is
-the same table that places a gate's entries in `embed`.  Columns of the
-unitary evolve independently, so the circuit is applied to blocks of at
-most BLOCK_AMPLITUDES entries of the identity in turn: beside the
-result, a run then holds two blocks, not two more full matrices.  There
-a run is a group of gates on the same operands, or adjacent groups
-merged while their joint support stays within two qubits and every
-two-qubit gate among them has the same operand order (an exact {H, CS}
-word of a one-qubit gate is one run).  A gate on one qubit of the frame
-is multiplied as its 4x4 embedding; the embedding's exact zeros add
-nothing, and the tests check the result against the per-gate loop bit
-for bit.
+A wider circuit is multiplied out run by run and never forms an
+embedded matrix of the register.  A run is a list of consecutive gates
+on one frame, an operand tuple: a group of gates on the same operands,
+or adjacent groups merged while their joint support stays within two
+qubits and every two-qubit gate among them has the same operand order
+(an exact {H, CS} word of a one-qubit gate is one run).  Each gate is
+its own matrix when its operands are the frame in order, else its
+embedding in the frame; a one-qubit gate's 4x4 embedding adds nothing
+through its exact zeros, and the tests check the result against the
+per-gate loop bit for bit.  A k-qubit frame only mixes rows whose
+indices differ in its operand bits, so a run gathers those rows of the
+running matrix in groups of 2**k, multiplies each group by the run's
+matrices and scatters it back: O(4**n * 2**k) per gate instead of the
+O(8**n) dense product.  The row-index table (`_operand_rows`, one
+transpose of the index tensor) is the same table that places a gate's
+entries in `embed`.  Columns of the unitary evolve independently, so
+the circuit is applied to blocks of at most BLOCK_AMPLITUDES entries of
+the identity in turn: beside the result, a run then holds two blocks,
+not two more full matrices.
 
-A long run, of LONG_RUN = 16 gates or more, is multiplied out once per
-call, before the blocks, and its one matrix is applied through the same
-gather and scatter.  The product is a tree: the run's matrices are
-stacked, and each level multiplies neighbouring pairs for the whole
-stack in batched numpy calls, an unpaired last one carried up, about
-log2(L) levels in place of L matmuls on every block
-(a 1,186-gate Solovay-Kitaev word over 3 distinct gates is one such
-run).  The tree, and a dense product at 2-4 qubits, round differently
-from the per-gate loop, so the contract is: at one qubit and at more
-than DENSE_WIDTH qubits, a circuit whose runs are all shorter than
-LONG_RUN gives the per-gate loop's bytes, and every unitary is within
-1e-13 of it, entry by entry.  Below LONG_RUN the stack's fixed cost
-loses to a few small matmuls.
+A long run, of LONG_RUN = 16 gates or more (a narrow circuit is one
+run), is multiplied out once per call, before the blocks, into one
+matrix.  The product is a tree: the run's matrices are stacked, and each
+level multiplies neighbouring pairs for the whole stack in batched numpy
+calls, an unpaired last one carried up, about log2(L) levels in place of
+L matmuls (a 1,186-gate Solovay-Kitaev word is one such run).  The tree,
+and a dense product at 2-4 qubits, round differently from the per-gate
+loop, so the contract is: at one qubit and at more than DENSE_WIDTH
+qubits, a circuit whose runs are all shorter than LONG_RUN gives the
+per-gate loop's bytes, and every unitary is within 1e-13 of it, entry by
+entry.  Below LONG_RUN the stack's fixed cost loses to a few small
+matmuls.
 
 Embeddings are built by one function, `_embedded`, and circuit_unitary
 keeps each gate's in a frame once per call.  A named gate's is also kept
@@ -74,11 +73,11 @@ MAX_WIDTH = 2**20
 BLOCK_AMPLITUDES = 2**16
 # A run of at least this many gates is multiplied out before the blocks.
 LONG_RUN = 16
-# Circuits of at most this many qubits are one run on the whole register,
-# where the gathers' per-run cost exceeds the arithmetic they save.  Wider
-# ones keep them: a dense product costs O(8**n) per gate against
-# O(4**n * 2**k), and at 6 qubits it is already the slower (60 named
-# gates, one BLAS thread: 2.2 against 1.2 ms).
+# Circuits of at most this many qubits are a plain product, where the
+# gathers' per-run cost exceeds the arithmetic they save.  Wider ones keep
+# them: a dense product costs O(8**n) per gate against O(4**n * 2**k), and
+# at 6 qubits it is already the slower (60 named gates, one BLAS thread:
+# 2.2 against 1.2 ms).
 DENSE_WIDTH = 4
 
 
@@ -173,20 +172,16 @@ def embed(gate: Gate, n_qubits: int, max_qubits: int = MAX_QUBITS) -> np.ndarray
     return _placed(gate_matrix(gate), gate.qubits, n_qubits)
 
 
-def _support_runs(gates, n_qubits: int) -> list[list]:
-    """Gates split into runs of [frame, ordered, groups], in circuit order.
+def _support_runs(gates) -> list[list]:
+    """A wide circuit's runs of [frame, ordered, groups], in order.
 
     groups are the (operands, gates) of groupby over operands, which runs
-    at C speed.  On at most DENSE_WIDTH qubits they are one run on the
-    whole register.  Wider, a group joins the run before it while the
-    joint support stays within two qubits and, once a two-qubit group has
-    fixed the frame's order (ordered), every two-qubit group has that order.
+    at C speed.  A group joins the run before it while the joint support
+    stays within two qubits and, once a two-qubit group has fixed the
+    frame's order (ordered), every two-qubit group has that order.
     """
-    groups = [(qubits, list(group)) for qubits, group in groupby(gates, key=attrgetter("qubits"))]
-    if n_qubits <= DENSE_WIDTH:
-        return [[tuple(range(n_qubits)), True, groups]]
     runs: list[list] = []
-    for qubits, group in groups:
+    for qubits, group in groupby(gates, key=attrgetter("qubits")):
         if runs and len(qubits) <= 2:
             run = runs[-1]
             frame, ordered = run[0], run[1]
@@ -195,10 +190,25 @@ def _support_runs(gates, n_qubits: int) -> list[list]:
             if len(joint) <= 2 and not (ordered and pair and qubits != frame):
                 run[0] = qubits if pair else joint
                 run[1] = ordered or pair
-                run[2].append((qubits, group))
+                run[2].append((qubits, list(group)))
                 continue
-        runs.append([qubits, len(qubits) == 2, [(qubits, group)]])
+        runs.append([qubits, len(qubits) == 2, [(qubits, list(group))]])
     return runs
+
+
+def _frame_matrices(frame: tuple[int, ...], groups, placed: dict) -> list[np.ndarray]:
+    """A run's matrices in its frame, or their product from LONG_RUN on."""
+    mats = []
+    for qubits, group in groups:
+        if qubits == frame:
+            mats.extend(map(gate_matrix, group))
+            continue
+        for g in group:
+            m = placed.get(g)
+            if m is None:
+                m = placed[g] = _embedded(g, tuple(map(frame.index, qubits)), len(frame))
+            mats.append(m)
+    return [_run_product(mats)] if len(mats) >= LONG_RUN else mats
 
 
 def _run_product(mats: list[np.ndarray]) -> np.ndarray:
@@ -228,32 +238,23 @@ def _run_product(mats: list[np.ndarray]) -> np.ndarray:
 
 
 def circuit_unitary(c: Circuit, max_qubits: int = MAX_QUBITS) -> np.ndarray:
+    """A new array; narrow circuits are a plain product onto the identity."""
     _check_cap(c.n_qubits, max_qubits)
-    dim = 2**c.n_qubits
-    tables: dict[tuple[int, ...], np.ndarray] = {}
-    placed: dict[tuple[Gate, tuple[int, ...]], np.ndarray] = {}
+    u = np.eye(2**c.n_qubits, dtype=complex)
+    if c.n_qubits <= DENSE_WIDTH:
+        groups = groupby(c.gates, key=attrgetter("qubits"))
+        for m in _frame_matrices(tuple(range(c.n_qubits)), groups, {}):
+            u = m @ u
+        return u
+    frames: dict[tuple[int, ...], tuple[np.ndarray, dict]] = {}
     runs = []
-    for frame, _, groups in _support_runs(c.gates, c.n_qubits):
-        rows = tables.get(frame)
-        if rows is None:
-            rows = tables[frame] = _operand_rows(frame, c.n_qubits)
-        mats = []
-        for qubits, group in groups:
-            if qubits == frame:
-                mats.extend(map(gate_matrix, group))
-                continue
-            at = tuple(map(frame.index, qubits))
-            for g in group:
-                m = placed.get((g, frame))
-                if m is None:
-                    m = placed[g, frame] = _embedded(g, at, len(frame))
-                mats.append(m)
-        if len(mats) >= LONG_RUN:
-            mats = [_run_product(mats)]
-        runs.append((rows, mats))
-    u = np.eye(dim, dtype=complex)
-    width = max(1, BLOCK_AMPLITUDES // dim)
-    for start in range(0, dim, width):
+    for frame, _, groups in _support_runs(c.gates):
+        if frame not in frames:
+            frames[frame] = _operand_rows(frame, c.n_qubits), {}
+        rows, placed = frames[frame]
+        runs.append((rows, _frame_matrices(frame, groups, placed)))
+    width = max(1, BLOCK_AMPLITUDES // len(u))
+    for start in range(0, len(u), width):
         block = u[:, start:start + width]
         for rows, mats in runs:
             # Each row index appears once in `rows`, so writing the product

@@ -186,10 +186,14 @@ TREE_ATOL = 1e-13
 
 
 def longest_run(c):
-    from threbase.circuit import _support_runs
+    """Gates in the longest run; at most DENSE_WIDTH qubits, the circuit is
+    one product on the register."""
+    from threbase.circuit import DENSE_WIDTH, _support_runs
 
+    if c.n_qubits <= DENSE_WIDTH:
+        return len(c)
     return max((sum(len(group) for _, group in groups)
-                for _, _, groups in _support_runs(c.gates, c.n_qubits)), default=0)
+                for _, _, groups in _support_runs(c.gates)), default=0)
 
 
 def assert_tree_close(got, want):
@@ -252,7 +256,7 @@ def test_support_runs_merge_within_two_qubits_and_one_order():
         g(GateKind.H, 1), g(GateKind.CCX, 0, 1, 2), g(GateKind.H, 0),
     ]
     frames = [(frame, sum(len(group) for _, group in groups))
-              for frame, _, groups in _support_runs(gates, 5)]
+              for frame, _, groups in _support_runs(gates)]
     assert frames == [((1, 0), 4), ((0, 1), 2), ((2, 1), 2), ((0, 1, 2), 1), ((0,), 1)]
 
 
@@ -265,7 +269,7 @@ def test_one_qubit_gates_in_two_qubit_runs_match_per_gate_product_bitwise(monkey
     # run is shorter than LONG_RUN, so each product is bitwise the loop's.
     for n in (5, 6, 7, 8):
         c = pair_runs_circuit(rng, n, 12)
-        assert any(len(groups) > 1 for _, _, groups in _support_runs(c.gates, n))
+        assert any(len(groups) > 1 for _, _, groups in _support_runs(c.gates))
         assert longest_run(c) < circuit.LONG_RUN
         want = unblocked_product(c).tobytes()
         assert circuit_unitary(c).tobytes() == want
@@ -314,7 +318,7 @@ def test_long_runs_are_a_product_tree_within_tolerance(frame, monkeypatch):
     ccx = Gate(GateKind.CCX, (0, 1, 2))
     for length in (LONG_RUN - 1, LONG_RUN, LONG_RUN + 1, 2 * LONG_RUN + 1, 64, 5000):
         c = Circuit(5, [ccx] + frame_run(rng, frame, length) + [ccx])
-        assert [sum(len(g) for _, g in groups) for _, _, groups in _support_runs(c.gates, 5)] == [
+        assert [sum(len(g) for _, g in groups) for _, _, groups in _support_runs(c.gates)] == [
             1, length, 1]
         calls.clear()
         got, want = circuit_unitary(c), unblocked_product(c)
@@ -345,6 +349,23 @@ def test_long_runs_in_column_blocks_match_the_default_blocking(monkeypatch):
     assert_tree_close(circuit_unitary(c), default)
 
 
+def register_product(c):
+    """A narrow circuit's register matrices multiplied in turn onto the
+    identity: each gate's matrix when its operands are the register in
+    order, else its embedding, and from LONG_RUN gates on their product
+    tree."""
+    from threbase.circuit import LONG_RUN, _run_product
+
+    register = tuple(range(c.n_qubits))
+    mats = [gate_matrix(g) if g.qubits == register else embed(g, c.n_qubits) for g in c.gates]
+    if len(mats) >= LONG_RUN:
+        mats = [_run_product(mats)]
+    u = np.eye(2**c.n_qubits, dtype=complex)
+    for m in mats:
+        u = m @ u
+    return u
+
+
 def test_dense_width_is_the_boundary_of_one_run_on_the_register(monkeypatch):
     from threbase import circuit, haar_unitary
     from threbase.circuit import DENSE_WIDTH, LONG_RUN, _support_runs
@@ -353,8 +374,9 @@ def test_dense_width_is_the_boundary_of_one_run_on_the_register(monkeypatch):
     assert DENSE_WIDTH == 4
     rng = np.random.default_rng(13)
     # At 4 qubits GENERIC gates in both operand orders of each pair, and on
-    # one qubit, are one run on the register: multiplied in turn below
-    # LONG_RUN gates and as a product tree from it.
+    # one qubit, are one plain product on the register: their embeddings
+    # multiplied in turn onto the identity below LONG_RUN gates, and their
+    # product tree from it.
     gates = []
     for _ in range(10):
         qs = tuple(int(q) for q in rng.choice(4, size=2, replace=False))
@@ -362,16 +384,15 @@ def test_dense_width_is_the_boundary_of_one_run_on_the_register(monkeypatch):
         gates += [Gate(GateKind.GENERIC, qs, m), Gate(GateKind.GENERIC, qs[::-1], m),
                   Gate(GateKind.GENERIC, qs[:1], haar_unitary(2, rng))]
     for c in (Circuit(4, gates[:LONG_RUN - 1]), Circuit(4, gates)):
-        runs = _support_runs(c.gates, 4)
-        assert [(frame, sum(len(g) for _, g in groups)) for frame, _, groups in runs] == [
-            ((0, 1, 2, 3), len(c))]
-        assert np.max(np.abs(circuit_unitary(c) - unblocked_product(c))) <= 1e-14
+        got = circuit_unitary(c)
+        assert got.tobytes() == register_product(c).tobytes()
+        assert np.max(np.abs(got - unblocked_product(c))) <= 1e-14
     # At 5 qubits, named gates in runs shorter than LONG_RUN give the loop's
     # bytes.
     kinds = [k for k in ARITY if k is not GateKind.GENERIC] * 3
     wide = Circuit(5, [Gate(kinds[i], tuple(int(q) for q in rng.choice(5, ARITY[kinds[i]], False)))
                        for i in rng.permutation(len(kinds))])
-    assert len(_support_runs(wide.gates, 5)) > 1
+    assert len(_support_runs(wide.gates)) > 1
     assert longest_run(wide) < LONG_RUN
     assert circuit_unitary(wide).tobytes() == unblocked_product(wide).tobytes()
     # GENERIC gates never enter the embedding table, at any width up to 5:
@@ -382,6 +403,81 @@ def test_dense_width_is_the_boundary_of_one_run_on_the_register(monkeypatch):
         circuit_unitary(Circuit(n, frame_run(rng, (0,) if n == 1 else (n - 1, 0), 40)))
     assert {width for _, _, width in table} == {2, 3, 4}
     assert all(kind is not GateKind.GENERIC for kind, _, _ in table)
+
+
+def test_narrow_unitaries_build_no_row_table_and_split_no_runs(monkeypatch):
+    from threbase import circuit, haar_unitary
+    from threbase.circuit import DENSE_WIDTH, LONG_RUN
+    from threbase.gates import ARITY
+
+    rows, runs, placed = circuit._operand_rows, circuit._support_runs, circuit._placed
+    placing, calls = [], []
+
+    def refuse(*args):
+        raise AssertionError(f"scaffolding built: {args}")
+
+    def placed_marked(*args):
+        placing.append(args)
+        try:
+            return placed(*args)
+        finally:
+            placing.pop()
+
+    def operand_rows(*args):
+        # A gate's embedding places its entries through the row table of its
+        # positions; any other table is the gathers' scaffolding.
+        return rows(*args) if placing else refuse(*args)
+
+    rng = np.random.default_rng(17)
+    monkeypatch.setattr(circuit, "_placed", placed_marked)
+    monkeypatch.setattr(circuit, "_operand_rows", operand_rows)
+    monkeypatch.setattr(circuit, "_support_runs", refuse)
+    for n in range(1, DENSE_WIDTH + 1):
+        # Named gates and GENERIC gates, each GENERIC gate on two or more
+        # qubits followed by the same matrix on its operands reversed.
+        named = [k for k in ARITY if k is not GateKind.GENERIC and ARITY[k] <= n]
+        gates = []
+        while len(gates) < 2 * LONG_RUN:
+            qs = tuple(int(q) for q in rng.choice(n, size=int(rng.integers(1, min(n, 3) + 1)),
+                                                  replace=False))
+            kinds = [k for k in named if ARITY[k] == len(qs)]
+            if kinds and rng.random() < 0.5:
+                gates.append(Gate(kinds[int(rng.integers(len(kinds)))], qs))
+                continue
+            m = haar_unitary(2 ** len(qs), rng)
+            gates.append(Gate(GateKind.GENERIC, qs, m))
+            if len(qs) > 1:
+                gates.append(Gate(GateKind.GENERIC, qs[::-1], m))
+        for c in (Circuit(n, gates[:LONG_RUN - 1]), Circuit(n, gates)):
+            assert circuit_unitary(c).tobytes() == register_product(c).tobytes()
+    # Wider, both build the gathers.
+    monkeypatch.setattr(circuit, "_operand_rows", lambda *args: calls.append("rows") or rows(*args))
+    monkeypatch.setattr(circuit, "_support_runs", lambda *args: calls.append("runs") or runs(*args))
+    circuit_unitary(Circuit(5, [Gate(GateKind.H, (4,)), Gate(GateKind.CS, (0, 3))]))
+    assert {"rows", "runs"} <= set(calls)
+
+
+def test_narrow_unitaries_are_fresh_writable_arrays():
+    from threbase import circuit, haar_unitary
+
+    rng = np.random.default_rng(19)
+    spans = [Gate(GateKind.H, (0,)), Gate(GateKind.SDG, (0,)), Gate(GateKind.CS, (0, 1)),
+             Gate(GateKind.CNOT, (0, 1)), Gate(GateKind.CCX, (0, 1, 2))]
+    spans += [Gate(GateKind.GENERIC, tuple(range(k)), haar_unitary(2**k, rng)) for k in (1, 2, 3)]
+    cases = [Circuit(n, []) for n in range(1, 5)] + [Circuit(len(g.qubits), [g]) for g in spans]
+    for c in cases:
+        u = circuit_unitary(c)
+        assert u.dtype == np.complex128 and u.flags.writeable
+        assert not any(np.shares_memory(u, gate_matrix(g)) for g in c.gates)
+        assert not any(np.shares_memory(u, m) for m in circuit._EMBEDDED.values())
+        want = u.tobytes()
+        u[...] = 7
+        assert circuit_unitary(c).tobytes() == want
+    # Multiplied onto the identity, SDG's -0.0 real part at [1, 1] becomes
+    # +0.0.
+    assert np.signbit(gate_matrix(GateKind.SDG)[1, 1].real)
+    sdg = circuit_unitary(Circuit(1, [Gate(GateKind.SDG, (0,))]))
+    assert sdg[1, 1] == -1j and not np.signbit(sdg[1, 1].real)
 
 
 def test_circuit_unitary_peak_memory_is_bounded():

@@ -552,7 +552,7 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
     from pathlib import Path
 
     from threbase import io, verify
-    from threbase.circuit import LONG_RUN, _support_runs
+    from threbase.circuit import DENSE_WIDTH, LONG_RUN
     from threbase.sk import SKConfig, sk_trace
 
     golden = Path(__file__).parent / "data" / "transpile"
@@ -586,8 +586,10 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
     for check, a, b, tol in cases:
         # The flag-qubit checks form the original's unitary alone.
         unitaries = (a, b) if check is check_exact else (a,)
-        long += any(sum(len(g) for _, g in groups) >= LONG_RUN
-                    for c in unitaries for _, _, groups in _support_runs(c.gates, c.n_qubits))
+        # Each is at most DENSE_WIDTH qubits wide, so one product on the
+        # register: long from LONG_RUN gates.
+        assert all(c.n_qubits <= DENSE_WIDTH for c in unitaries)
+        long += any(len(c) >= LONG_RUN for c in unitaries)
         got = check(a, b, tol)
         want = reference(check, a, b, tol)
         dev = want.max_deviation
@@ -597,8 +599,8 @@ def test_verdicts_match_the_per_gate_loop(demo12, monkeypatch):
         assert got.worst_input == want.worst_input
         assert abs(got.max_deviation - dev) <= 1e-12
         assert [check(a, b, dev * (1 + s)).passed for s in (-1e-6, 1e-6)] == edges
-    # The kitaev golden output, the 16-gate mixed_ccx input (one run on its
-    # 3 qubits) and every word hold a long run.
+    # The kitaev golden output, the 16-gate mixed_ccx input and every word
+    # are long.
     assert long == 6
 
 
